@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .tree import (
     AdaptedProcess,
     ScenarioTree,
     StoppingTime,
-    TreeError,
-    _check_process,
+    _check_stop,
+    _first_on_path,
     min_stop,
 )
 
@@ -188,26 +188,9 @@ def cutoff_obstacle(
     """Obstacle for the player's one-sided problem given an opponents'
     cutoff: X strictly before the cutoff, then the end payoff taken at
     the cutoff node and frozen along the rest of each path."""
-    tree = spec.tree
-    _check_cutoff(tree, cutoff)
-    x = spec.X[player].values
+    _check_stop(spec.tree, cutoff)
     ep = end_payoff(spec, player).values
-    stop = cutoff.stop_set
-    parents = tree.parents
-    out = [0.0] * tree.n_nodes
-    frozen: list[Optional[float]] = [None] * tree.n_nodes
-    for v in range(tree.n_nodes):
-        p = parents[v]
-        inherited = frozen[p] if p is not None else None
-        if inherited is not None:
-            out[v] = inherited
-            frozen[v] = inherited
-        elif v in stop:
-            out[v] = ep[v]
-            frozen[v] = ep[v]
-        else:
-            out[v] = x[v]
-    return AdaptedProcess(tuple(out))
+    return _freeze(spec, spec.X[player].values, ep, ep, cutoff)
 
 
 def best_response_process(
@@ -220,26 +203,21 @@ def best_response_process(
     before R, Q at the R node, and the R node's Y frozen on the rest of
     each path.
     """
-    tree = spec.tree
     rival = _rival_time(spec, player, others)
-    x = spec.X[player].values
-    q = spec.Q[player].values
-    y = spec.Y[player].values
-    stop = rival.stop_set
-    parents = tree.parents
-    out = [0.0] * tree.n_nodes
-    frozen: list[Optional[float]] = [None] * tree.n_nodes
-    for v in range(tree.n_nodes):
-        p = parents[v]
-        inherited = frozen[p] if p is not None else None
-        if inherited is not None:
-            out[v] = inherited
-            frozen[v] = inherited
-        elif v in stop:
-            out[v] = q[v]
-            frozen[v] = y[v]
-        else:
-            out[v] = x[v]
+    return _freeze(spec, spec.X[player].values, spec.Q[player].values,
+                   spec.Y[player].values, rival)
+
+
+def _freeze(spec, x, at, below, cut: StoppingTime) -> AdaptedProcess:
+    """``x`` strictly before the cut, ``at`` on the cut node, and the cut
+    node's ``below`` value frozen on the rest of each path."""
+    first = _first_on_path(spec.tree, cut.stop_set)
+    out = list(x)
+    for v, a in enumerate(first):
+        if a == v:
+            out[v] = at[v]
+        elif a >= 0:
+            out[v] = below[a]
     return AdaptedProcess(tuple(out))
 
 
@@ -254,29 +232,16 @@ def payoff(
     opponents' stop node when t > r.  The result is the probability-
     weighted sum over leaves.
     """
-    profile = _check_profile(spec, profile)
-    others = [tau for j, tau in enumerate(profile) if j != player]
-    r_depths, r_nodes = _rival_cut(others)
-    return _insertion_payoff(spec, player, r_depths, r_nodes, profile[player])
-
-
-def _check_profile(
-    spec: GameSpec, profile: Sequence[StoppingTime]
-) -> tuple[StoppingTime, ...]:
     profile = tuple(profile)
     if len(profile) != spec.n_players:
         raise GameError(
             f"profile has {len(profile)} stopping times for "
             f"{spec.n_players} players"
         )
-    for tau in profile:
-        _check_cutoff(spec.tree, tau)
-    return profile
-
-
-def _check_cutoff(tree: ScenarioTree, tau: StoppingTime) -> None:
-    if tau.tree is not tree and tau.tree != tree:
-        raise TreeError("stopping time lives on a different tree")
+    _check_stop(spec.tree, profile[player])
+    others = [tau for j, tau in enumerate(profile) if j != player]
+    rival = _rival_time(spec, player, others)
+    return _insertion_payoff(spec, player, rival, profile[player])
 
 
 def _rival_time(
@@ -289,25 +254,12 @@ def _rival_time(
             f"got {len(others)}"
         )
     for tau in others:
-        _check_cutoff(spec.tree, tau)
+        _check_stop(spec.tree, tau)
     return min_stop(*others)
 
-def _rival_cut(
-    others: Sequence[StoppingTime],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per leaf, the earliest opponent stopping depth and its node."""
-    first = others[0]
-    depths = list(first.depth_by_leaf)
-    nodes = list(first.node_by_leaf)
-    for tau in others[1:]:
-        for k, d in enumerate(tau.depth_by_leaf):
-            if d < depths[k]:
-                depths[k] = d
-                nodes[k] = tau.node_by_leaf[k]
-    return tuple(depths), tuple(nodes)
 
-def _insertion_payoff(spec, player, r_depths, r_nodes, tau):
-    """Payoff with precomputed opponent cuts; shared by the profile
+def _insertion_payoff(spec, player, rival: StoppingTime, tau: StoppingTime):
+    """Payoff against the opponents' earliest stop; shared by the profile
     evaluator and the brute-force responder so both use one case split."""
     x = spec.X[player].values
     q = spec.Q[player].values
@@ -315,6 +267,8 @@ def _insertion_payoff(spec, player, r_depths, r_nodes, tau):
     probs = spec.tree.leaf_probs
     t_depths = tau.depth_by_leaf
     t_nodes = tau.node_by_leaf
+    r_depths = rival.depth_by_leaf
+    r_nodes = rival.node_by_leaf
     terms = []
     for k, p in enumerate(probs):
         t = t_depths[k]
@@ -326,4 +280,19 @@ def _insertion_payoff(spec, player, r_depths, r_nodes, tau):
         else:
             val = y[r_nodes[k]]
         terms.append(p * val)
+    return math.fsum(terms)
+
+
+def _tie_gap(spec, player, tau: StoppingTime, cut: StoppingTime) -> float:
+    """Expected Y - Q gap collected where ``tau`` stops together with
+    ``cut`` strictly before the horizon."""
+    y = spec.Y[player].values
+    q = spec.Q[player].values
+    horizon = spec.tree.horizon
+    terms = []
+    for k, p in enumerate(spec.tree.leaf_probs):
+        d = tau.depth_by_leaf[k]
+        if d == cut.depth_by_leaf[k] and d < horizon:
+            v = tau.node_by_leaf[k]
+            terms.append(p * (y[v] - q[v]))
     return math.fsum(terms)

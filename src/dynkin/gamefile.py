@@ -58,11 +58,10 @@ def _require(doc: dict, key: str, kind, where: str):
     return val
 
 
-def load_game(path: str) -> GameSpec:
-    """Load and structurally validate a game file."""
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise GameParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -70,7 +69,11 @@ def load_game(path: str) -> GameSpec:
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    return game_from_document(doc, where=path)
+
+
+def load_game(path: str) -> GameSpec:
+    """Load and structurally validate a game file."""
+    return game_from_document(_read_json(path), where=path)
 
 
 def game_from_document(doc, where: str = "game document") -> GameSpec:
@@ -205,16 +208,7 @@ def save_game(spec: GameSpec, path: str) -> None:
 def load_profile(path: str, tree: ScenarioTree, players: int) -> list[StoppingTime]:
     """Load a stopping profile: a JSON array of per-player stop-node
     arrays.  Each entry is canonicalized against the tree."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise GameParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GameParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise GameParseError(f"{path}: top level must be an array")
     if len(doc) != players:

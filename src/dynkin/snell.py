@@ -15,6 +15,7 @@ from .tree import (
     ScenarioTree,
     StoppingTime,
     _check_process,
+    _first_on_path,
     canonicalize,
 )
 
@@ -70,17 +71,24 @@ def snell_envelope(
     )
 
 
-def _uncovered(tree: ScenarioTree, bound: StoppingTime) -> list[bool]:
-    """Per node, whether it lies strictly before ``bound`` on its path."""
-    n = tree.n_nodes
-    before = [False] * n
-    stop = bound.stop_set
-    parents = tree.parents
-    for v in range(n):
-        p = parents[v]
-        on_or_past = (v in stop) or (p is not None and not before[p])
-        before[v] = not on_or_past
-    return before
+def _one_step_holds(tree, process, bound, tol, martingale) -> bool:
+    """One-step check at every node strictly before ``bound``: equality
+    within ``tol`` if ``martingale``, else the supermartingale
+    inequality."""
+    _check_process(tree, process)
+    first = _first_on_path(tree, bound.stop_set)
+    vals = process.values
+    cond = tree.cond_probs
+    for v in range(tree.n_nodes):
+        if first[v] >= 0:
+            continue
+        cont = 0.0
+        for c in tree.children[v]:
+            cont += cond[c] * vals[c]
+        u = vals[v]
+        if abs(u - cont) > tol if martingale else u < cont - tol:
+            return False
+    return True
 
 
 def is_supermartingale_before(
@@ -91,19 +99,7 @@ def is_supermartingale_before(
 ) -> bool:
     """Check the one-step supermartingale inequality at every node
     strictly before ``bound``."""
-    _check_process(tree, process)
-    before = _uncovered(tree, bound)
-    vals = process.values
-    cond = tree.cond_probs
-    for v in range(tree.n_nodes):
-        if not before[v]:
-            continue
-        cont = 0.0
-        for c in tree.children[v]:
-            cont += cond[c] * vals[c]
-        if vals[v] < cont - tol:
-            return False
-    return True
+    return _one_step_holds(tree, process, bound, tol, martingale=False)
 
 
 def is_martingale_before(
@@ -114,16 +110,4 @@ def is_martingale_before(
 ) -> bool:
     """Check the one-step martingale equality at every node strictly
     before ``bound``."""
-    _check_process(tree, process)
-    before = _uncovered(tree, bound)
-    vals = process.values
-    cond = tree.cond_probs
-    for v in range(tree.n_nodes):
-        if not before[v]:
-            continue
-        cont = 0.0
-        for c in tree.children[v]:
-            cont += cond[c] * vals[c]
-        if abs(vals[v] - cont) > tol:
-            return False
-    return True
+    return _one_step_holds(tree, process, bound, tol, martingale=True)

@@ -13,15 +13,20 @@ the fixed point is the returned equilibrium candidate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .game import GameSpec, cutoff_obstacle, _insertion_payoff, _rival_cut
+from .game import (
+    GameSpec,
+    cutoff_obstacle,
+    _insertion_payoff,
+    _rival_time,
+    _tie_gap,
+)
 from .snell import snell_envelope
 from .tree import (
-    AdaptedProcess,
     StoppingTime,
+    _first_on_path,
     canonicalize,
     enumerate_stopping_times,
     horizon_stop,
@@ -36,7 +41,8 @@ class TraceRecord:
     """One player update: flat step index ``n``, the updated player,
     the opponents' cutoff, the earliest optimal stop of the one-sided
     problem, the player's new stopping time, the root envelope value,
-    and the obstacle/envelope processes used."""
+    and the largest |envelope - obstacle| at or after the cutoff with
+    the first node where it occurs."""
 
     n: int
     player: int
@@ -44,8 +50,8 @@ class TraceRecord:
     mu: StoppingTime
     tau: StoppingTime
     root_value: float
-    obstacle: AdaptedProcess
-    envelope: AdaptedProcess
+    flat_gap: float
+    flat_node: int
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,7 @@ def init_state(spec: GameSpec) -> SolverState:
 
 def step(state: SolverState, spec: GameSpec) -> SolverState:
     """Advance the iteration by one player update."""
+    tree = spec.tree
     n_players = spec.n_players
     n_next = state.n + 1
     player = state.n % n_players
@@ -109,6 +116,17 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
     res = snell_envelope(spec.tree, obstacle)
     mu = res.first_hit
     old = state.current[player]
+
+    # From the cutoff on, the envelope must equal the frozen obstacle.
+    cut = _first_on_path(tree, theta.stop_set)
+    u = obstacle.values
+    w = res.envelope.values
+    flat_gap, flat_node = -1.0, -1
+    for v, a in enumerate(cut):
+        if a >= 0:
+            gap = abs(w[v] - u[v])
+            if gap > flat_gap:
+                flat_gap, flat_node = gap, v
 
     # Pathwise update: move to min(mu, old) where that stop still falls
     # strictly before the cutoff, otherwise keep the old stop.
@@ -136,8 +154,8 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
         mu=mu,
         tau=tau_new,
         root_value=res.root_value,
-        obstacle=obstacle,
-        envelope=res.envelope,
+        flat_gap=flat_gap,
+        flat_node=flat_node,
     )
     current = list(state.current)
     current[player] = tau_new
@@ -155,32 +173,16 @@ def default_round_bound(spec: GameSpec) -> int:
 
 
 def run(
-    spec: GameSpec,
-    max_rounds: Optional[int] = None,
-    initial_profile: Optional[Sequence[StoppingTime]] = None,
+    spec: GameSpec, max_rounds: Optional[int] = None
 ) -> tuple[EquilibriumCandidate, SolverState]:
     """Iterate full rounds until a round changes nothing.
 
-    ``initial_profile`` is experimental: starting anywhere other than
-    the horizon is not backed by the convergence argument and is only
-    useful for fixed-point replay checks.  Non-convergence within
-    ``max_rounds`` is reported through the candidate's ``converged``
-    flag, never silently.
+    Non-convergence within ``max_rounds`` is reported through the
+    candidate's ``converged`` flag, never silently.
     """
     if max_rounds is None:
         max_rounds = default_round_bound(spec)
-    if initial_profile is None:
-        state = init_state(spec)
-    else:
-        profile = tuple(initial_profile)
-        if len(profile) != spec.n_players:
-            raise ValueError(
-                f"initial profile has {len(profile)} entries for "
-                f"{spec.n_players} players"
-            )
-        state = SolverState(
-            n=spec.n_players, current=profile, trace=(), initial=profile
-        )
+    state = init_state(spec)
 
     converged = False
     rounds_used = 0
@@ -266,17 +268,12 @@ def audit_iteration(
                                f"update rule broken on the path to leaf "
                                f"{bad_leaf}")
             )
-        covered = _at_or_after(tree, rec.theta)
-        for v in range(tree.n_nodes):
-            if covered[v] and abs(
-                rec.envelope.values[v] - rec.obstacle.values[v]
-            ) > tol:
-                violations.append(
-                    AuditViolation(rec.n, "envelope_flat_after_cutoff",
-                                   f"envelope differs from obstacle at "
-                                   f"node {v} beyond the cutoff")
-                )
-                break
+        if rec.flat_gap > tol:
+            violations.append(
+                AuditViolation(rec.n, "envelope_flat_after_cutoff",
+                               f"envelope differs from obstacle at "
+                               f"node {rec.flat_node} beyond the cutoff")
+            )
         nxt = by_n.get(rec.n + n_players)
         if nxt is not None and not leq(nxt.mu, rec.tau):
             violations.append(
@@ -285,16 +282,6 @@ def audit_iteration(
                                "this update's stopping time")
             )
     return violations
-
-
-def _at_or_after(tree, bound: StoppingTime) -> list[bool]:
-    stop = bound.stop_set
-    parents = tree.parents
-    out = [False] * tree.n_nodes
-    for v in range(tree.n_nodes):
-        p = parents[v]
-        out[v] = (v in stop) or (p is not None and out[p])
-    return out
 
 
 def audit_deviation_bound(
@@ -315,19 +302,17 @@ def audit_deviation_bound(
     violations: list[AuditViolation] = []
     if not state.trace:
         return violations
-    tree = spec.tree
-    alternatives = list(enumerate_stopping_times(tree, cap))
-    horizon = tree.horizon
+    alternatives = list(enumerate_stopping_times(spec.tree, cap))
     latest = list(state.initial)
 
     for rec in state.trace:
         others = [t for j, t in enumerate(latest) if j != rec.player]
-        r_depths, r_nodes = _rival_cut(others)
-        base = _insertion_payoff(spec, rec.player, r_depths, r_nodes, rec.tau)
-        slack = _tie_slack(spec, rec.player, rec.tau, rec.theta, horizon)
+        rival = _rival_time(spec, rec.player, others)
+        base = _insertion_payoff(spec, rec.player, rival, rec.tau)
+        slack = _tie_gap(spec, rec.player, rec.tau, rec.theta)
         bound = base + slack
         for alt in alternatives:
-            val = _insertion_payoff(spec, rec.player, r_depths, r_nodes, alt)
+            val = _insertion_payoff(spec, rec.player, rival, alt)
             if val > bound + tol:
                 violations.append(
                     AuditViolation(
@@ -341,15 +326,3 @@ def audit_deviation_bound(
         latest[rec.player] = rec.tau
     return violations
 
-
-def _tie_slack(spec, player, tau, theta, horizon) -> float:
-    y = spec.Y[player].values
-    q = spec.Q[player].values
-    probs = spec.tree.leaf_probs
-    terms = []
-    for k, p in enumerate(probs):
-        d = tau.depth_by_leaf[k]
-        if d == theta.depth_by_leaf[k] and d < horizon:
-            v = tau.node_by_leaf[k]
-            terms.append(p * (y[v] - q[v]))
-    return math.fsum(terms)

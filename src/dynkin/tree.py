@@ -31,8 +31,11 @@ class EnumerationCapError(TreeError):
     """Refusal to enumerate a stopping-time family larger than the cap."""
 
     def __init__(self, count: int, cap: int):
+        # str() of a huge count can exceed Python's digit limit
+        bits = count.bit_length()
+        shown = str(count) if bits <= 64 else f"at least 2**{bits - 1}"
         super().__init__(
-            f"tree admits {count} stopping times, which exceeds the "
+            f"tree admits {shown} stopping times, which exceeds the "
             f"enumeration cap of {cap}"
         )
         self.count = count
@@ -280,10 +283,28 @@ class StoppingTime:
         return f"StoppingTime({sorted(self.stop_set)})"
 
 
-def _same_tree(a: StoppingTime, b: StoppingTime) -> ScenarioTree:
-    if a.tree is not b.tree and a.tree != b.tree:
-        raise TreeError("stopping times live on different trees")
-    return a.tree
+def _check_stop(tree: ScenarioTree, tau: StoppingTime) -> None:
+    if tau.tree is not tree and tau.tree != tree:
+        raise TreeError("stopping time lives on a different tree")
+
+
+def _first_on_path(tree: ScenarioTree, stops: Iterable[int]) -> list[int]:
+    """Per node, the first node of ``stops`` on its root path (the node
+    itself included), or -1 where the path has not met ``stops`` yet."""
+    marked = bytearray(tree.n_nodes)
+    for v in stops:
+        marked[v] = 1
+    first = [-1] * tree.n_nodes
+    if marked[0]:
+        first[0] = 0
+    parents = tree.parents
+    for v in range(1, tree.n_nodes):
+        inherited = first[parents[v]]
+        if inherited >= 0:
+            first[v] = inherited
+        elif marked[v]:
+            first[v] = v
+    return first
 
 
 def canonicalize(raw_stop_nodes: Iterable[int], tree: ScenarioTree) -> StoppingTime:
@@ -293,20 +314,11 @@ def canonicalize(raw_stop_nodes: Iterable[int], tree: ScenarioTree) -> StoppingT
     paths that meet no marked node stop at their leaf (the horizon).
     """
     n = tree.n_nodes
-    marked = bytearray(n)
-    for v in raw_stop_nodes:
+    raw = tuple(raw_stop_nodes)
+    for v in raw:
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
             raise TreeError(f"unknown node id {v!r} in stop set")
-        marked[v] = 1
-    first = [-1] * n
-    parents = tree.parents
-    for v in range(n):
-        p = parents[v]
-        inherited = first[p] if p is not None else -1
-        if inherited >= 0:
-            first[v] = inherited
-        elif marked[v]:
-            first[v] = v
+    first = _first_on_path(tree, raw)
     node_by_leaf = tuple(
         first[leaf] if first[leaf] >= 0 else leaf for leaf in tree.leaves
     )
@@ -332,7 +344,7 @@ def min_stop(*taus: StoppingTime) -> StoppingTime:
         raise TreeError("min_stop needs at least one stopping time")
     out = taus[0]
     for tau in taus[1:]:
-        tree = _same_tree(out, tau)
+        _check_stop(out.tree, tau)
         nodes = tuple(
             a if da <= db else b
             for a, da, b, db in zip(
@@ -342,13 +354,13 @@ def min_stop(*taus: StoppingTime) -> StoppingTime:
                 tau.depth_by_leaf,
             )
         )
-        out = StoppingTime._from_leaf_nodes(tree, nodes)
+        out = StoppingTime._from_leaf_nodes(out.tree, nodes)
     return out
 
 
 def leq(first: StoppingTime, second: StoppingTime) -> bool:
     """Whether ``first`` stops no later than ``second`` on every path."""
-    _same_tree(first, second)
+    _check_stop(first.tree, second)
     return all(
         a <= b for a, b in zip(first.depth_by_leaf, second.depth_by_leaf)
     )
@@ -359,8 +371,7 @@ def expect_at(
 ) -> float:
     """Expected value of the process sampled at the stopping time."""
     _check_process(tree, process)
-    if tau.tree is not tree and tau.tree != tree:
-        raise TreeError("stopping time lives on a different tree")
+    _check_stop(tree, tau)
     vals = process.values
     prob = tree.prob
     return math.fsum(prob[v] * vals[v] for v in sorted(tau.stop_set))
@@ -389,14 +400,16 @@ def enumerate_stopping_times(
     if total > cap:
         raise EnumerationCapError(total, cap)
 
-    def options(v: int) -> list[tuple[int, ...]]:
+    # Per node, the stop sets of its subtree, built bottom-up (children
+    # have larger ids); a child's list is dropped once its parent used it.
+    options: dict[int, list[tuple[int, ...]]] = {}
+    for v in range(tree.n_nodes - 1, -1, -1):
         kids = tree.children[v]
-        if not kids:
-            return [(v,)]
-        out: list[tuple[int, ...]] = [(v,)]
-        for combo in itertools.product(*(options(c) for c in kids)):
-            out.append(tuple(itertools.chain.from_iterable(combo)))
-        return out
+        out = [(v,)]
+        if kids:
+            for combo in itertools.product(*(options.pop(c) for c in kids)):
+                out.append(tuple(itertools.chain.from_iterable(combo)))
+        options[v] = out
 
-    for nodes in options(0):
+    for nodes in options[0]:
         yield canonicalize(nodes, tree)

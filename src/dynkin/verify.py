@@ -18,18 +18,19 @@ from .game import (
     cutoff_obstacle,
     payoff,
     _insertion_payoff,
-    _rival_cut,
+    _rival_time,
+    _tie_gap,
 )
 from .snell import (
     is_martingale_before,
     is_supermartingale_before,
     snell_envelope,
-    _uncovered,
 )
 from .solver import EquilibriumCandidate
 from .tree import (
     AdaptedProcess,
     StoppingTime,
+    _first_on_path,
     enumerate_stopping_times,
     min_stop,
     DEFAULT_ENUM_CAP,
@@ -61,13 +62,12 @@ def brute_force_best_response(
     pathwise-smallest maximizer, matching the earliest-hit convention
     of the envelope route.
     """
-    others = tuple(others)
-    r_depths, r_nodes = _rival_cut(others)
+    rival = _rival_time(spec, player, others)
     best_val = -math.inf
     values = []
     candidates = []
     for tau in enumerate_stopping_times(spec.tree, cap):
-        val = _insertion_payoff(spec, player, r_depths, r_nodes, tau)
+        val = _insertion_payoff(spec, player, rival, tau)
         candidates.append(tau)
         values.append(val)
         if val > best_val:
@@ -181,17 +181,17 @@ def verify_streamline(
         martingale_ok = is_martingale_before(tree, w, candidate.R_star, tol)
         supermartingale_ok = is_supermartingale_before(tree, w, r_i, tol)
 
-        before = _uncovered(tree, r_i)
+        cut = _first_on_path(tree, r_i.stop_set)
         x = spec.X[i].values
         dominance_ok = all(
             w.values[v] >= x[v] - tol
             for v in range(tree.n_nodes)
-            if before[v]
+            if cut[v] < 0
         )
         hit_equality_ok = all(
             abs(w.values[v] - x[v]) <= tol
             for v in t_i.stop_set
-            if before[v]
+            if cut[v] < 0
         )
 
         y = spec.Y[i].values
@@ -229,20 +229,7 @@ def residual_yq(
     """Per player, the expected Y - Q gap collected where their stop
     coincides with their opponents' earliest stop strictly before the
     horizon.  Zero for a sound equilibrium."""
-    tree = spec.tree
-    horizon = tree.horizon
-    probs = tree.leaf_probs
-    out = []
-    for i in range(spec.n_players):
-        t_i = candidate.T_star[i]
-        r_i = candidate.R_star_i[i]
-        y = spec.Y[i].values
-        q = spec.Q[i].values
-        terms = []
-        for k, p in enumerate(probs):
-            d = t_i.depth_by_leaf[k]
-            if d == r_i.depth_by_leaf[k] and d < horizon:
-                v = t_i.node_by_leaf[k]
-                terms.append(p * (y[v] - q[v]))
-        out.append(math.fsum(terms))
-    return tuple(out)
+    return tuple(
+        _tie_gap(spec, i, candidate.T_star[i], candidate.R_star_i[i])
+        for i in range(spec.n_players)
+    )

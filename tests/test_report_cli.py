@@ -205,6 +205,31 @@ def test_cli_oracle_cap_exit_code(tmp_path, capsys):
     assert "458330" in err
 
 
+def test_cli_oracle_cap_exit_code_on_a_huge_count(tmp_path, capsys):
+    # the count on a depth-15 binary tree has over 4,300 digits
+    spec = demo_constant(2, 15, 2)
+    path = _game_file(tmp_path, spec)
+    prof_path = tmp_path / "profile.json"
+    save_profile([canonicalize([0], spec.tree)] * 2, str(prof_path))
+    code = main(["oracle", path, "--player", "0",
+                 "--profile", str(prof_path)])
+    assert code == 5
+    assert "at least 2**" in capsys.readouterr().err
+
+
+def test_cli_oracle_on_a_deep_chain(tmp_path, capsys):
+    spec = demo_constant(2, 1500, 1)
+    path = _game_file(tmp_path, spec)
+    prof_path = tmp_path / "profile.json"
+    save_profile([canonicalize([0], spec.tree)] * 2, str(prof_path))
+    code = main(["oracle", path, "--player", "0",
+                 "--profile", str(prof_path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "best value: 1.0" in captured.out
+
+
 def test_cli_gen_then_solve(tmp_path, capsys):
     out = tmp_path / "gen.json"
     assert main(["gen", str(out), "--players", "3", "--depth", "3",

@@ -8,6 +8,7 @@ import pytest
 from dynkin import (
     audit_iteration,
     canonicalize,
+    cutoff_obstacle,
     default_round_bound,
     demo_constant,
     enumerate_stopping_times,
@@ -20,6 +21,7 @@ from dynkin import (
     min_stop,
     payoff,
     run,
+    snell_envelope,
     step,
     verify_nash,
 )
@@ -51,9 +53,11 @@ def test_constant_game_first_step_keeps_horizon():
     assert rec.theta == horizon_stop(spec.tree)
     assert rec.mu == horizon_stop(spec.tree)
     assert rec.tau == horizon_stop(spec.tree)
-    assert rec.obstacle.values == (0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0)
-    assert rec.envelope.values == (1.0,) * 7
+    obstacle = cutoff_obstacle(spec, 0, rec.theta)
+    assert obstacle.values == (0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0)
+    assert snell_envelope(spec.tree, obstacle).envelope.values == (1.0,) * 7
     assert rec.root_value == 1.0
+    assert rec.flat_gap == 0.0
 
 
 def test_falling_chain_stops_at_root():
@@ -97,14 +101,13 @@ def test_converged_profile_is_a_fixed_point():
     spec = gen_game(2, 3, 2, seed=31)
     cand, state = run(spec)
     assert cand.converged
-    replay, replay_state = run(spec, initial_profile=cand.T_star)
-    assert replay.rounds_used == 1
-    assert replay.T_star == cand.T_star
 
-    # one extra round of stepping reproduces the last round's records
+    # one extra round of stepping leaves the profile unchanged and
+    # reproduces the last round's records
     extra = state
     for _ in range(spec.n_players):
         extra = step(extra, spec)
+    assert extra.current == state.current == cand.T_star
     last = state.trace[-spec.n_players:]
     new = extra.trace[-spec.n_players:]
     for a, b in zip(last, new):
@@ -145,7 +148,8 @@ def test_each_update_solves_its_one_sided_problem():
     _, state = run(spec)
     times = list(enumerate_stopping_times(spec.tree))
     for rec in state.trace:
-        best = max(expect_at(spec.tree, rec.obstacle, tau) for tau in times)
+        obstacle = cutoff_obstacle(spec, rec.player, rec.theta)
+        best = max(expect_at(spec.tree, obstacle, tau) for tau in times)
         assert abs(rec.root_value - best) <= 1e-12
 
 
@@ -166,6 +170,21 @@ def test_audit_flags_a_corrupted_record():
     )
     checks = {v.check for v in audit_iteration(bad_state)}
     assert "mu_eq_min_tau_theta" in checks
+
+
+def test_audit_flags_an_envelope_gap_after_the_cutoff():
+    spec = falling_chain_game()
+    _, state = run(spec)
+    assert all(rec.flat_gap == 0.0 for rec in state.trace)
+    bad_rec = dataclasses.replace(state.trace[0], flat_gap=0.5, flat_node=1)
+    bad_state = dataclasses.replace(
+        state, trace=(bad_rec,) + state.trace[1:]
+    )
+    viols = [v for v in audit_iteration(bad_state)
+             if v.check == "envelope_flat_after_cutoff"]
+    assert [v.n for v in viols] == [bad_rec.n]
+    assert "node 1 " in viols[0].detail
+    assert audit_iteration(bad_state, tol=0.5) == []
 
 
 def test_deviation_bound_audit_accepts_clean_runs():

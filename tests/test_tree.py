@@ -1,6 +1,7 @@
 """Tree substrate: canonical stopping times, orders, expectations,
 enumeration."""
 
+import itertools
 import math
 
 import pytest
@@ -39,6 +40,19 @@ def oracle_count(tree, v=0):
     for c in kids:
         prod *= oracle_count(tree, c)
     return 1 + prod
+
+
+# Independent, recursive listing of the stop sets in enumeration order:
+# stop at the node, then every combination of the children's options.
+def oracle_options(tree, v=0):
+    out = [(v,)]
+    kids = tree.children[v]
+    if kids:
+        for combo in itertools.product(
+            *(oracle_options(tree, c) for c in kids)
+        ):
+            out.append(tuple(itertools.chain.from_iterable(combo)))
+    return out
 
 
 def test_tree_shape_binary_depth_2():
@@ -212,6 +226,28 @@ def test_enumeration_cap_names_the_count():
         list(enumerate_stopping_times(t))
     assert "458330" in str(exc.value)
     assert exc.value.count == 458330
+
+
+def test_enumeration_cap_survives_a_huge_count():
+    # the count on a depth-15 binary tree has over 4,300 digits
+    t = binary(15)
+    with pytest.raises(EnumerationCapError) as exc:
+        next(enumerate_stopping_times(t))
+    assert exc.value.count == count_stopping_times(t)
+    assert "at least 2**" in str(exc.value)
+
+
+def test_enumeration_order_matches_the_recursive_listing():
+    for t in (binary(3), ScenarioTree.uniform(2, 3), chain_tree(4)):
+        got = [tau.stop_set for tau in enumerate_stopping_times(t)]
+        assert got == [frozenset(o) for o in oracle_options(t)]
+
+
+def test_enumeration_of_a_deep_chain():
+    # deeper than the default recursion limit
+    times = list(enumerate_stopping_times(chain_tree(1500)))
+    assert len(times) == 1501
+    assert [sorted(t.stop_set) for t in times] == [[v] for v in range(1501)]
 
 
 @st.composite
