@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 parse or usage error, 2 validation failure,
-3 non-convergence, 4 certification failure, 5 enumeration cap hit.
+Exit codes: 0 success, 1 parse or usage error (or an unwritable output
+path), 2 validation failure, 3 non-convergence, 4 certification
+failure, 5 enumeration cap hit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .gamefile import (
     save_game,
 )
 from .report import build_report, solve_and_certify, write_report, write_trace
+from .snell import EQ_TOL
 from .solver import make_candidate
 from .tree import EnumerationCapError, TreeError
 from .verify import (
@@ -63,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the solver and certify the result")
     p.add_argument("game")
     p.add_argument("--max-rounds", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=EQ_TOL)
     p.add_argument("--residual-tol", type=float, default=1e-12)
     p.add_argument("--strict-tol", type=float, default=0.0)
     p.add_argument("--report", default=None, help="write a JSON run report")
@@ -72,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify an arbitrary profile")
     p.add_argument("game")
     p.add_argument("--profile", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=EQ_TOL)
 
     p = sub.add_parser("oracle", help="brute-force best response")
     p.add_argument("game")
@@ -259,6 +261,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GameStructureError, TreeError, GameError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:  # reads raise GameParseError instead
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -211,7 +211,7 @@ def best_response_process(
 def _freeze(spec, x, at, below, cut: StoppingTime) -> AdaptedProcess:
     """``x`` strictly before the cut, ``at`` on the cut node, and the cut
     node's ``below`` value frozen on the rest of each path."""
-    first = _first_on_path(spec.tree, cut.stop_set)
+    first = _first_on_path(spec.tree, cut.node_by_leaf)
     out = list(x)
     for v, a in enumerate(first):
         if a == v:

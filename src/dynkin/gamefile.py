@@ -23,7 +23,7 @@ import random
 import tempfile
 from typing import Sequence
 
-from .game import GameSpec
+from .game import GameError, GameSpec
 from .tree import AdaptedProcess, ScenarioTree, StoppingTime, TreeError, canonicalize
 
 
@@ -69,6 +69,9 @@ def _read_json(path: str):
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes, over-long integers, too deep nesting
+        raise GameParseError(f"{path}: cannot decode JSON: {exc}") from exc
 
 
 def load_game(path: str) -> GameSpec:
@@ -250,10 +253,13 @@ def gen_game(
     at least ``gap``.  In ``touching`` mode a seeded fraction of nodes
     (about ``touch_frac``) additionally has Q raised to Y for every
     player, exercising the boundary where simultaneous stops cost
-    nothing.  Both modes pass the assumption checks by construction.
+    nothing.  Both modes pass the assumption checks by construction,
+    which needs ``gap >= 0``.
     """
     if mode not in ("strict", "touching"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not gap >= 0:
+        raise GameError(f"gap must be at least 0, got {gap!r}")
     rng = random.Random(seed)
     tree = ScenarioTree.uniform(depth, branching)
     n = tree.n_nodes

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .game import AssumptionError, GameSpec, validate_assumptions
 from .gamefile import atomic_write_bytes, canonical_bytes, game_digest
+from .snell import EQ_TOL
 from .solver import (
     AuditViolation,
     EquilibriumCandidate,
@@ -66,7 +67,7 @@ class CertifiedRun:
 def solve_and_certify(
     spec: GameSpec,
     max_rounds: Optional[int] = None,
-    tol: float = 1e-9,
+    tol: float = EQ_TOL,
     residual_tol: float = 1e-12,
     strict_tol: float = 0.0,
 ) -> CertifiedRun:

@@ -29,14 +29,12 @@ class SnellResult:
     root_value: float
 
 
-def snell_envelope(
-    tree: ScenarioTree, obstacle: AdaptedProcess, eq_tol: float = EQ_TOL
-) -> SnellResult:
+def snell_envelope(tree: ScenarioTree, obstacle: AdaptedProcess) -> SnellResult:
     """Backward-induction envelope of ``obstacle`` with earliest hits.
 
     At a leaf the envelope equals the obstacle.  At an internal node the
     continuation value is the probability-weighted average of the
-    children's envelope values; when the obstacle is within ``eq_tol``
+    children's envelope values; when the obstacle is within ``EQ_TOL``
     of matching the continuation the node counts as a hit and the
     envelope takes the obstacle value exactly, otherwise the envelope
     takes the continuation value.  ``root_value`` is the supremum of the
@@ -59,7 +57,7 @@ def snell_envelope(
         for c in kids:
             cont += cond[c] * w[c]
         u = vals[v]
-        if u >= cont - eq_tol:
+        if u >= cont - EQ_TOL:
             w[v] = u
             hits.append(v)
         else:
@@ -76,7 +74,7 @@ def _one_step_holds(tree, process, bound, tol, martingale) -> bool:
     within ``tol`` if ``martingale``, else the supermartingale
     inequality."""
     _check_process(tree, process)
-    first = _first_on_path(tree, bound.stop_set)
+    first = _first_on_path(tree, bound.node_by_leaf)
     vals = process.values
     cond = tree.cond_probs
     for v in range(tree.n_nodes):

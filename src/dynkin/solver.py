@@ -23,11 +23,10 @@ from .game import (
     _rival_time,
     _tie_gap,
 )
-from .snell import snell_envelope
+from .snell import EQ_TOL, snell_envelope
 from .tree import (
     StoppingTime,
     _first_on_path,
-    canonicalize,
     enumerate_stopping_times,
     horizon_stop,
     leq,
@@ -56,10 +55,12 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SolverState:
+    """Stopping times after ``n`` player updates, one record per update;
+    every run starts from the horizon profile (:func:`init_state`)."""
+
     n: int
     current: tuple[StoppingTime, ...]
     trace: tuple[TraceRecord, ...]
-    initial: tuple[StoppingTime, ...]
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,8 @@ def make_candidate(
 
 def init_state(spec: GameSpec) -> SolverState:
     """All players start by waiting until the horizon."""
-    hor = horizon_stop(spec.tree)
     n = spec.n_players
-    profile = (hor,) * n
-    return SolverState(n=n, current=profile, trace=(), initial=profile)
+    return SolverState(n=n, current=(horizon_stop(spec.tree),) * n, trace=())
 
 
 def step(state: SolverState, spec: GameSpec) -> SolverState:
@@ -118,7 +117,7 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
     old = state.current[player]
 
     # From the cutoff on, the envelope must equal the frozen obstacle.
-    cut = _first_on_path(tree, theta.stop_set)
+    cut = _first_on_path(tree, theta.node_by_leaf)
     u = obstacle.values
     w = res.envelope.values
     flat_gap, flat_node = -1.0, -1
@@ -129,7 +128,7 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
                 flat_gap, flat_node = gap, v
 
     # Pathwise update: move to min(mu, old) where that stop still falls
-    # strictly before the cutoff, otherwise keep the old stop.
+    # strictly before the cutoff, else keep the old stop (still canonical).
     chosen = []
     for k in range(len(spec.tree.leaves)):
         md, od, td = (
@@ -145,7 +144,7 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
             chosen.append(early_node)
         else:
             chosen.append(old.node_by_leaf[k])
-    tau_new = canonicalize(chosen, spec.tree)
+    tau_new = StoppingTime(tree, chosen)
 
     record = TraceRecord(
         n=n_next,
@@ -163,7 +162,6 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
         n=n_next,
         current=tuple(current),
         trace=state.trace + (record,),
-        initial=state.initial,
     )
 
 
@@ -191,9 +189,7 @@ def run(
         for _ in range(spec.n_players):
             state = step(state, spec)
         rounds_used += 1
-        if all(
-            a.stop_set == b.stop_set for a, b in zip(before, state.current)
-        ):
+        if before == state.current:
             converged = True
             break
     candidate = make_candidate(
@@ -210,7 +206,7 @@ class AuditViolation:
 
 
 def audit_iteration(
-    state: SolverState, tol: float = 1e-9
+    state: SolverState, tol: float = EQ_TOL
 ) -> list[AuditViolation]:
     """Re-check the bookkeeping identities of every recorded update.
 
@@ -228,6 +224,7 @@ def audit_iteration(
     by_n = {rec.n: rec for rec in state.trace}
     n_players = len(state.current)
     tree = state.trace[0].tau.tree
+    hor = horizon_stop(tree)
 
     for rec in state.trace:
         if not leq(rec.mu, rec.theta):
@@ -237,14 +234,14 @@ def audit_iteration(
             )
         prev_rec = by_n.get(rec.n - n_players)
         prev_tau = (
-            prev_rec.tau if prev_rec is not None else state.initial[rec.player]
+            prev_rec.tau if prev_rec is not None else hor
         )
         if not leq(rec.tau, prev_tau):
             violations.append(
                 AuditViolation(rec.n, "tau_monotone",
                                "stopping time increased between updates")
             )
-        if min_stop(rec.tau, rec.theta).stop_set != rec.mu.stop_set:
+        if min_stop(rec.tau, rec.theta) != rec.mu:
             violations.append(
                 AuditViolation(rec.n, "mu_eq_min_tau_theta",
                                "earliest optimal stop is not the minimum "
@@ -254,11 +251,7 @@ def audit_iteration(
         for k in range(len(tree.leaves)):
             md = rec.mu.depth_by_leaf[k]
             td = rec.theta.depth_by_leaf[k]
-            want = (
-                rec.mu.depth_by_leaf[k]
-                if md < td
-                else prev_tau.depth_by_leaf[k]
-            )
+            want = md if md < td else prev_tau.depth_by_leaf[k]
             if rec.tau.depth_by_leaf[k] != want:
                 bad_leaf = tree.leaves[k]
                 break
@@ -288,7 +281,7 @@ def audit_deviation_bound(
     spec: GameSpec,
     state: SolverState,
     cap: int = DEFAULT_ENUM_CAP,
-    tol: float = 1e-9,
+    tol: float = EQ_TOL,
 ) -> list[AuditViolation]:
     """Check, for every recorded update, that no deviation beats the
     new stopping time by more than the simultaneous-stop slack.
@@ -303,7 +296,7 @@ def audit_deviation_bound(
     if not state.trace:
         return violations
     alternatives = list(enumerate_stopping_times(spec.tree, cap))
-    latest = list(state.initial)
+    latest = [horizon_stop(spec.tree)] * spec.n_players
 
     for rec in state.trace:
         others = [t for j, t in enumerate(latest) if j != rec.player]

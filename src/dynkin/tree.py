@@ -7,9 +7,9 @@ horizon depth, and each edge carries a strictly positive conditional
 probability; sibling probabilities sum to one, so every node is reached
 with positive probability.
 
-A stopping time is represented by its canonical stop-set: an antichain
-of nodes meeting every root-to-leaf path exactly once.  Stopping "at
-the horizon" on a path means stopping at that path's leaf.
+A stopping time is represented by its stop node on each root-to-leaf
+path; these nodes form its canonical stop-set, an antichain meeting every
+path once.  Stopping "at the horizon" on a path means at that path's leaf.
 """
 
 from __future__ import annotations
@@ -231,35 +231,24 @@ def _check_process(tree: ScenarioTree, process: AdaptedProcess) -> None:
 
 
 class StoppingTime:
-    """Stopping time as a canonical stop-set over a scenario tree.
+    """Stopping time as its stop node on every root-to-leaf path.
 
-    Instances are built through :func:`canonicalize` (or the helpers
-    below) and are immutable.  ``stop_set`` is an antichain meeting
-    every root-to-leaf path exactly once; per-leaf stop nodes and depths
-    are precomputed for pathwise work.
+    Only ``node_by_leaf`` (entry ``k`` on the path to ``tree.leaves[k]``)
+    is stored; ``depth_by_leaf`` is derived once and ``stop_set`` on each
+    access.  Instances come from :func:`canonicalize` or the helpers
+    below and are immutable.
     """
 
-    __slots__ = ("tree", "stop_set", "node_by_leaf", "depth_by_leaf")
+    __slots__ = ("tree", "node_by_leaf", "depth_by_leaf")
 
-    def __init__(
-        self,
-        tree: ScenarioTree,
-        stop_set: frozenset[int],
-        node_by_leaf: tuple[int, ...],
-        depth_by_leaf: tuple[int, ...],
-    ):
+    def __init__(self, tree: ScenarioTree, node_by_leaf: Sequence[int]):
         self.tree = tree
-        self.stop_set = stop_set
-        self.node_by_leaf = node_by_leaf
-        self.depth_by_leaf = depth_by_leaf
+        self.node_by_leaf = tuple(node_by_leaf)
+        self.depth_by_leaf = tuple(tree.depth[v] for v in self.node_by_leaf)
 
-    @classmethod
-    def _from_leaf_nodes(
-        cls, tree: ScenarioTree, node_by_leaf: Sequence[int]
-    ) -> "StoppingTime":
-        nodes = tuple(node_by_leaf)
-        depths = tuple(tree.depth[v] for v in nodes)
-        return cls(tree, frozenset(nodes), nodes, depths)
+    @property
+    def stop_set(self) -> frozenset[int]:
+        return frozenset(self.node_by_leaf)
 
     def depth_at(self, leaf: int) -> int:
         """Stopping depth along the path ending at ``leaf``."""
@@ -274,10 +263,10 @@ class StoppingTime:
             return NotImplemented
         if self.tree is not other.tree and self.tree != other.tree:
             return False
-        return self.stop_set == other.stop_set
+        return self.node_by_leaf == other.node_by_leaf
 
     def __hash__(self) -> int:
-        return hash(self.stop_set)
+        return hash(self.node_by_leaf)
 
     def __repr__(self) -> str:
         return f"StoppingTime({sorted(self.stop_set)})"
@@ -322,12 +311,12 @@ def canonicalize(raw_stop_nodes: Iterable[int], tree: ScenarioTree) -> StoppingT
     node_by_leaf = tuple(
         first[leaf] if first[leaf] >= 0 else leaf for leaf in tree.leaves
     )
-    return StoppingTime._from_leaf_nodes(tree, node_by_leaf)
+    return StoppingTime(tree, node_by_leaf)
 
 
 def horizon_stop(tree: ScenarioTree) -> StoppingTime:
     """The stopping time that waits until the horizon on every path."""
-    return StoppingTime._from_leaf_nodes(tree, tree.leaves)
+    return StoppingTime(tree, tree.leaves)
 
 
 def depth_stop(tree: ScenarioTree, depth: int) -> StoppingTime:
@@ -354,7 +343,7 @@ def min_stop(*taus: StoppingTime) -> StoppingTime:
                 tau.depth_by_leaf,
             )
         )
-        out = StoppingTime._from_leaf_nodes(out.tree, nodes)
+        out = StoppingTime(out.tree, nodes)
     return out
 
 

@@ -22,13 +22,13 @@ from .game import (
     _tie_gap,
 )
 from .snell import (
+    EQ_TOL,
     is_martingale_before,
     is_supermartingale_before,
     snell_envelope,
 )
 from .solver import EquilibriumCandidate
 from .tree import (
-    AdaptedProcess,
     StoppingTime,
     _first_on_path,
     enumerate_stopping_times,
@@ -54,11 +54,10 @@ def brute_force_best_response(
     player: int,
     others: Sequence[StoppingTime],
     cap: int = DEFAULT_ENUM_CAP,
-    tie_tol: float = BRUTE_TIE_TOL,
 ) -> tuple[float, StoppingTime]:
     """Enumerate every stopping time and maximize the raw payoff.
 
-    Ties within ``tie_tol`` of the maximum are resolved toward the
+    Ties within ``BRUTE_TIE_TOL`` of the maximum are resolved toward the
     pathwise-smallest maximizer, matching the earliest-hit convention
     of the envelope route.
     """
@@ -74,7 +73,7 @@ def brute_force_best_response(
             best_val = val
     winners = [
         tau for tau, val in zip(candidates, values)
-        if val >= best_val - tie_tol
+        if val >= best_val - BRUTE_TIE_TOL
     ]
     return best_val, min_stop(*winners)
 
@@ -100,7 +99,7 @@ class NashCertificate:
 
 
 def verify_nash(
-    spec: GameSpec, profile: Sequence[StoppingTime], tol: float = 1e-9
+    spec: GameSpec, profile: Sequence[StoppingTime], tol: float = EQ_TOL
 ) -> NashCertificate:
     """Compare each player's payoff under the profile against their
     best response to the rest of it."""
@@ -127,14 +126,14 @@ def verify_nash(
 class StreamlinePlayerCheck:
     """Envelope-witness conditions for one player at a candidate.
 
-    ``witness`` is the Snell envelope of the player's obstacle against
-    their opponents' cutoff.  The booleans record: the witness is a
-    martingale strictly before the overall earliest stop and a
-    supermartingale strictly before the opponents' cutoff; it dominates
-    X strictly before that cutoff and meets X where the player actually
-    stops strictly before it; at the cutoff it equals Y (before the
-    horizon) or Q (at it); and Y meets Q wherever the player's stop
-    coincides with the cutoff strictly before the horizon.
+    The witness is the Snell envelope of the player's obstacle against
+    their opponents' cutoff; only the booleans are kept.  They record:
+    the witness is a martingale strictly before the overall earliest
+    stop and a supermartingale strictly before the opponents' cutoff;
+    it dominates X strictly before that cutoff and meets X where the
+    player actually stops strictly before it; at the cutoff it equals Y
+    (before the horizon) or Q (at it); and Y meets Q wherever the
+    player's stop coincides with the cutoff strictly before the horizon.
     """
 
     player: int
@@ -144,7 +143,6 @@ class StreamlinePlayerCheck:
     hit_equality_ok: bool
     boundary_ok: bool
     residual_ok: bool
-    witness: AdaptedProcess
 
     @property
     def passed(self) -> bool:
@@ -169,7 +167,7 @@ class StreamlineCertificate:
 
 
 def verify_streamline(
-    spec: GameSpec, candidate: EquilibriumCandidate, tol: float = 1e-9
+    spec: GameSpec, candidate: EquilibriumCandidate, tol: float = EQ_TOL
 ) -> StreamlineCertificate:
     tree = spec.tree
     checks = []
@@ -181,7 +179,7 @@ def verify_streamline(
         martingale_ok = is_martingale_before(tree, w, candidate.R_star, tol)
         supermartingale_ok = is_supermartingale_before(tree, w, r_i, tol)
 
-        cut = _first_on_path(tree, r_i.stop_set)
+        cut = _first_on_path(tree, r_i.node_by_leaf)
         x = spec.X[i].values
         dominance_ok = all(
             w.values[v] >= x[v] - tol
@@ -190,22 +188,22 @@ def verify_streamline(
         )
         hit_equality_ok = all(
             abs(w.values[v] - x[v]) <= tol
-            for v in t_i.stop_set
+            for v in t_i.node_by_leaf
             if cut[v] < 0
         )
 
         y = spec.Y[i].values
         q = spec.Q[i].values
         boundary_ok = True
-        for a in r_i.stop_set:
+        for a in r_i.node_by_leaf:
             target = q[a] if tree.is_leaf(a) else y[a]
             if abs(w.values[a] - target) > tol:
                 boundary_ok = False
                 break
         residual_ok = all(
             abs(y[v] - q[v]) <= tol
-            for v in (r_i.stop_set & t_i.stop_set)
-            if not tree.is_leaf(v)
+            for v, a in zip(t_i.node_by_leaf, r_i.node_by_leaf)
+            if v == a and not tree.is_leaf(v)
         )
 
         checks.append(
@@ -217,7 +215,6 @@ def verify_streamline(
                 hit_equality_ok=hit_equality_ok,
                 boundary_ok=boundary_ok,
                 residual_ok=residual_ok,
-                witness=w,
             )
         )
     return StreamlineCertificate(tuple(checks), tol)

@@ -1,0 +1,143 @@
+"""Malformed inputs and unwritable outputs end with a documented exit
+code and a one-line message, never a traceback."""
+
+import copy
+import json
+import math
+
+import pytest
+
+from dynkin import gen_game, save_game
+from dynkin.cli import main
+from dynkin.gamefile import game_document
+
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+def _dump(doc) -> bytes:
+    return json.dumps(doc).encode("utf-8")
+
+
+def _with(doc, keys, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for k in keys[:-1]:
+        target = target[k]
+    target[keys[-1]] = value
+    return doc
+
+
+GAME_MUTATIONS = {
+    "truncated": lambda doc: _dump(doc)[:-7],
+    "empty": lambda doc: b"",
+    "nan_token": lambda doc: _dump(
+        _with(doc, ("processes", "X", 0, 0), math.nan)),
+    "infinity_token": lambda doc: _dump(
+        _with(doc, ("processes", "Y", 1, 2), math.inf)),
+    "string_horizon": lambda doc: _dump(_with(doc, ("horizon",), "2")),
+    "object_nodes": lambda doc: _dump(_with(doc, ("nodes",), {})),
+    "string_value": lambda doc: _dump(
+        _with(doc, ("processes", "Q", 1, 3), "0.5")),
+    "float_parent": lambda doc: _dump(_with(doc, ("nodes", 1, "parent"), 0.5)),
+    "negative_parent": lambda doc: _dump(
+        _with(doc, ("nodes", 2, "parent"), -1)),
+    "bool_id": lambda doc: _dump(_with(doc, ("nodes", 0, "id"), False)),
+    "array_top": lambda doc: b"[]",
+    "non_utf8": lambda doc: b"\xff\xfe" + _dump(doc),
+    "deep_nesting": lambda doc: DEEP,
+    "huge_int": lambda doc: _dump(doc).replace(
+        b'"horizon": 2', b'"horizon": ' + b"9" * 5000),
+}
+
+PROFILE_MUTATIONS = {
+    "truncated": b"[[1, 2], [0",
+    "nan_token": b"[[NaN], [0]]",
+    "string_node": b'[["1"], [0]]',
+    "bool_node": b"[[true], [0]]",
+    "one_entry": b"[[0]]",
+    "unknown_node": b"[[99], [0]]",
+    "object_top": b'{"0": [0]}',
+    "non_utf8": b"\xff[[0], [0]]",
+    "deep_nesting": DEEP,
+    "huge_int": b"[[" + b"9" * 5000 + b"], [0]]",
+}
+
+
+@pytest.fixture
+def good(tmp_path):
+    game = tmp_path / "game.json"
+    save_game(gen_game(2, 2, 2, seed=5, mode="touching"), str(game))
+    profile = tmp_path / "profile.json"
+    profile.write_text("[[1, 2], [0]]")
+    return str(game), str(profile)
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in range(6), argv
+    assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("name", sorted(GAME_MUTATIONS))
+def test_mutated_game_documents(tmp_path, capsys, good, name):
+    _, profile = good
+    doc = game_document(gen_game(2, 2, 2, seed=5, mode="touching"))
+    path = tmp_path / "mutated.json"
+    path.write_bytes(GAME_MUTATIONS[name](doc))
+    p = str(path)
+    for argv in (
+        ["validate", p],
+        ["solve", p],
+        ["verify", p, "--profile", profile],
+        ["oracle", p, "--player", "0", "--profile", profile],
+    ):
+        code, err = _run(capsys, argv)
+        assert code in (1, 2), (argv, err)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_MUTATIONS))
+def test_mutated_profile_documents(tmp_path, capsys, good, name):
+    game, _ = good
+    path = tmp_path / "mutated.json"
+    path.write_bytes(PROFILE_MUTATIONS[name])
+    p = str(path)
+    for argv in (
+        ["verify", game, "--profile", p],
+        ["oracle", game, "--player", "0", "--profile", p],
+    ):
+        code, err = _run(capsys, argv)
+        assert code in (1, 2), (argv, err)
+
+
+@pytest.mark.parametrize("option", ["--report", "--trace"])
+def test_unwritable_solve_output(tmp_path, capsys, good, option):
+    game, _ = good
+    out = str(tmp_path / "missing" / "out")
+    code, err = _run(capsys, ["solve", game, option, out])
+    assert code == 1
+    assert err.startswith("cannot write output: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "OUT", "--players", "2", "--depth", "2", "--branching", "2",
+     "--seed", "1"],
+    ["demo", "OUT"],
+])
+def test_unwritable_generated_game(tmp_path, capsys, argv):
+    out = str(tmp_path / "missing" / "game.json")
+    code, err = _run(capsys, [out if a == "OUT" else a for a in argv])
+    assert code == 1
+    assert err.startswith("cannot write output: ")
+
+
+def test_gen_rejects_a_negative_gap(tmp_path, capsys):
+    out = tmp_path / "game.json"
+    code, err = _run(capsys, ["gen", str(out), "--players", "2", "--depth",
+                              "2", "--branching", "2", "--seed", "1",
+                              "--gap", "-5"])
+    assert code == 2
+    assert "gap" in err
+    assert not out.exists()

@@ -2,10 +2,12 @@
 controls."""
 
 import json
+import math
 
 import pytest
 
 from dynkin import (
+    GameError,
     GameParseError,
     GameStructureError,
     canonicalize,
@@ -68,6 +70,14 @@ def test_gen_touching_touches_somewhere():
     assert touched
 
 
+def test_gen_rejects_a_negative_gap():
+    for gap in (-5.0, -1e-12, math.nan):
+        with pytest.raises(GameError):
+            gen_game(2, 2, 2, seed=1, gap=gap)
+    spec = gen_game(2, 2, 2, seed=1, gap=0.0)
+    assert validate_assumptions(spec).passed
+
+
 def test_demo_constant_values():
     spec = demo_constant(4, 2, 3)
     assert spec.n_players == 4
@@ -82,6 +92,24 @@ def test_load_rejects_bad_json(tmp_path):
     with pytest.raises(GameParseError) as exc:
         load_game(str(path))
     assert "line" in str(exc.value)
+
+
+def test_load_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe" + canonical_bytes([[0], [0]]))
+    with pytest.raises(GameParseError):
+        load_game(str(path))
+    with pytest.raises(GameParseError):
+        load_profile(str(path), gen_game(2, 2, 2, seed=15).tree, 2)
+
+
+def test_load_rejects_deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(GameParseError):
+        load_game(str(path))
+    with pytest.raises(GameParseError):
+        load_profile(str(path), gen_game(2, 2, 2, seed=15).tree, 2)
 
 
 def test_load_rejects_missing_field(tmp_path):

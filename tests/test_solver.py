@@ -137,10 +137,23 @@ def test_non_convergence_is_reported_not_raised():
 def test_stopping_times_shrink_along_the_trace():
     spec = gen_game(3, 3, 2, seed=41)
     _, state = run(spec)
-    latest = {i: state.initial[i] for i in range(3)}
+    latest = {i: horizon_stop(spec.tree) for i in range(3)}
     for rec in state.trace:
         assert leq(rec.tau, latest[rec.player])
         latest[rec.player] = rec.tau
+
+
+def test_every_update_is_a_canonical_stopping_time():
+    # step builds the new time from per-leaf stops without canonicalize
+    for seed in range(12):
+        spec = gen_game(2 + seed % 3, (4, 3)[seed % 2], (2, 3)[seed % 2],
+                        seed=300 + seed,
+                        mode=("strict", "touching")[seed // 2 % 2])
+        _, state = run(spec)
+        for rec in state.trace:
+            canon = canonicalize(rec.tau.stop_set, spec.tree)
+            assert rec.tau.node_by_leaf == canon.node_by_leaf
+            assert rec.tau.depth_by_leaf == canon.depth_by_leaf
 
 
 def test_each_update_solves_its_one_sided_problem():

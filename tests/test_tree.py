@@ -220,6 +220,18 @@ def test_enumeration_is_complete_and_canonical():
         assert abs(total - 1.0) <= 1e-12
 
 
+def test_equality_and_hash_follow_the_stop_set():
+    t = binary(3)
+    times = list(enumerate_stopping_times(t))
+    # the same times rebuilt as new objects, so equal pairs are not identical
+    twins = [min_stop(tau, horizon_stop(t)) for tau in times]
+    for a in times:
+        for b in twins:
+            assert (a == b) == (a.stop_set == b.stop_set)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
 def test_enumeration_cap_names_the_count():
     t = binary(5)
     with pytest.raises(EnumerationCapError) as exc:
