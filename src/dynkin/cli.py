@@ -22,9 +22,9 @@ from .gamefile import (
     save_game,
 )
 from .report import build_report, solve_and_certify, write_report, write_trace
-from .snell import EQ_TOL
+from .snell import EQ_TOL, RESIDUAL_TOL
 from .solver import make_candidate
-from .tree import EnumerationCapError, TreeError
+from .tree import DEFAULT_ENUM_CAP, EnumerationCapError, TreeError
 from .verify import (
     brute_force_best_response,
     residual_yq,
@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--tol", type=float, default=EQ_TOL)
-    p.add_argument("--residual-tol", type=float, default=1e-12)
+    p.add_argument("--residual-tol", type=float, default=RESIDUAL_TOL)
     p.add_argument("--strict-tol", type=float, default=0.0)
     p.add_argument("--report", default=None, help="write a JSON run report")
     p.add_argument("--trace", default=None, help="write a CSV iteration trace")
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="player index, 0-based")
     p.add_argument("--profile", required=True,
                    help="profile file; the player's own entry is ignored")
-    p.add_argument("--cap", type=int, default=20000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
 
     p = sub.add_parser("gen", help="generate a seeded random game")
     p.add_argument("out")

@@ -1,11 +1,13 @@
 """N-player stopping games on a shared scenario tree.
 
-Each player ``i`` carries three node-indexed processes: ``X[i]`` is the
-value collected when the player stops strictly first, ``Q[i]`` the
-value when the player stops simultaneously with the earliest opponent,
-and ``Y[i]`` the value when some opponent stops strictly first.  The
-standing order assumption is ``X <= Q <= Y`` nodewise; a second
-assumption constrains where ``Q`` may touch ``Y`` before the horizon.
+Each player ``i`` carries three processes, length-K float tuples
+indexed by node id and checked once when the :class:`GameSpec` is
+built: ``X[i]`` is the value collected when the player stops strictly
+first, ``Q[i]`` the value when the player stops simultaneously with the
+earliest opponent, and ``Y[i]`` the value when some opponent stops
+strictly first.  The standing order assumption is ``X <= Q <= Y``
+nodewise; a second assumption constrains where ``Q`` may touch ``Y``
+before the horizon.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .tree import (
-    AdaptedProcess,
     ScenarioTree,
     StoppingTime,
     _check_stop,
@@ -30,17 +31,23 @@ class GameError(ValueError):
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Shared tree plus per-player payoff triples (X, Q, Y)."""
+    """Shared tree plus per-player payoff triples (X, Q, Y).
+
+    Each payoff is a length-K float tuple indexed by node id.  Building
+    a spec is where payoffs are checked, once: every value is converted
+    to ``float`` and non-finite values are rejected, so the processes
+    derived from them later need no check of their own.
+    """
 
     tree: ScenarioTree
-    X: tuple[AdaptedProcess, ...]
-    Q: tuple[AdaptedProcess, ...]
-    Y: tuple[AdaptedProcess, ...]
+    X: tuple[tuple[float, ...], ...]
+    Q: tuple[tuple[float, ...], ...]
+    Y: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "X", tuple(self.X))
-        object.__setattr__(self, "Q", tuple(self.Q))
-        object.__setattr__(self, "Y", tuple(self.Y))
+        for name in ("X", "Q", "Y"):
+            procs = tuple(tuple(map(float, p)) for p in getattr(self, name))
+            object.__setattr__(self, name, procs)
         n = len(self.X)
         if n < 2:
             raise GameError(f"need at least 2 players, got {n}")
@@ -49,13 +56,19 @@ class GameSpec:
                 f"process counts differ: X has {n}, Q has {len(self.Q)}, "
                 f"Y has {len(self.Y)}"
             )
-        for name, procs in (("X", self.X), ("Q", self.Q), ("Y", self.Y)):
-            for i, proc in enumerate(procs):
-                if len(proc.values) != self.tree.n_nodes:
+        for name in ("X", "Q", "Y"):
+            for i, vals in enumerate(getattr(self, name)):
+                if len(vals) != self.tree.n_nodes:
                     raise GameError(
-                        f"player {i}: {name} has {len(proc.values)} values "
+                        f"player {i}: {name} has {len(vals)} values "
                         f"but tree has {self.tree.n_nodes} nodes"
                     )
+                for v, x in enumerate(vals):
+                    if not math.isfinite(x):
+                        raise GameError(
+                            f"processes.{name}[{i}]: node {v}: process "
+                            f"value {x!r} not finite"
+                        )
 
     @property
     def n_players(self) -> int:
@@ -171,31 +184,29 @@ def validate_assumptions(
     return AssumptionReport(tuple(a3), tuple(a4), strict_tol)
 
 
-def end_payoff(spec: GameSpec, player: int) -> AdaptedProcess:
+def end_payoff(spec: GameSpec, player: int) -> tuple[float, ...]:
     """Value the player receives when opponents end the game at a node:
     their Y strictly before the horizon, their Q at it."""
     tree = spec.tree
-    y = spec.Y[player].values
-    q = spec.Q[player].values
-    return AdaptedProcess(
-        tuple(q[v] if tree.is_leaf(v) else y[v] for v in range(tree.n_nodes))
-    )
+    y = spec.Y[player]
+    q = spec.Q[player]
+    return tuple(q[v] if tree.is_leaf(v) else y[v] for v in range(tree.n_nodes))
 
 
 def cutoff_obstacle(
     spec: GameSpec, player: int, cutoff: StoppingTime
-) -> AdaptedProcess:
+) -> tuple[float, ...]:
     """Obstacle for the player's one-sided problem given an opponents'
     cutoff: X strictly before the cutoff, then the end payoff taken at
     the cutoff node and frozen along the rest of each path."""
     _check_stop(spec.tree, cutoff)
-    ep = end_payoff(spec, player).values
-    return _freeze(spec, spec.X[player].values, ep, ep, cutoff)
+    ep = end_payoff(spec, player)
+    return _freeze(spec, spec.X[player], ep, ep, cutoff)
 
 
 def best_response_process(
     spec: GameSpec, player: int, others: Sequence[StoppingTime]
-) -> AdaptedProcess:
+) -> tuple[float, ...]:
     """Process H whose stopped expectation reproduces the player's
     payoff against the fixed opponents.
 
@@ -204,11 +215,10 @@ def best_response_process(
     each path.
     """
     rival = _rival_time(spec, player, others)
-    return _freeze(spec, spec.X[player].values, spec.Q[player].values,
-                   spec.Y[player].values, rival)
+    return _freeze(spec, spec.X[player], spec.Q[player], spec.Y[player], rival)
 
 
-def _freeze(spec, x, at, below, cut: StoppingTime) -> AdaptedProcess:
+def _freeze(spec, x, at, below, cut: StoppingTime) -> tuple[float, ...]:
     """``x`` strictly before the cut, ``at`` on the cut node, and the cut
     node's ``below`` value frozen on the rest of each path."""
     first = _first_on_path(spec.tree, cut.node_by_leaf)
@@ -218,7 +228,7 @@ def _freeze(spec, x, at, below, cut: StoppingTime) -> AdaptedProcess:
             out[v] = at[v]
         elif a >= 0:
             out[v] = below[a]
-    return AdaptedProcess(tuple(out))
+    return tuple(out)
 
 
 def payoff(
@@ -261,9 +271,9 @@ def _rival_time(
 def _insertion_payoff(spec, player, rival: StoppingTime, tau: StoppingTime):
     """Payoff against the opponents' earliest stop; shared by the profile
     evaluator and the brute-force responder so both use one case split."""
-    x = spec.X[player].values
-    q = spec.Q[player].values
-    y = spec.Y[player].values
+    x = spec.X[player]
+    q = spec.Q[player]
+    y = spec.Y[player]
     probs = spec.tree.leaf_probs
     t_depths = tau.depth_by_leaf
     t_nodes = tau.node_by_leaf
@@ -286,8 +296,8 @@ def _insertion_payoff(spec, player, rival: StoppingTime, tau: StoppingTime):
 def _tie_gap(spec, player, tau: StoppingTime, cut: StoppingTime) -> float:
     """Expected Y - Q gap collected where ``tau`` stops together with
     ``cut`` strictly before the horizon."""
-    y = spec.Y[player].values
-    q = spec.Q[player].values
+    y = spec.Y[player]
+    q = spec.Q[player]
     horizon = spec.tree.horizon
     terms = []
     for k, p in enumerate(spec.tree.leaf_probs):

@@ -24,7 +24,7 @@ import tempfile
 from typing import Sequence
 
 from .game import GameError, GameSpec
-from .tree import AdaptedProcess, ScenarioTree, StoppingTime, TreeError, canonicalize
+from .tree import ScenarioTree, StoppingTime, TreeError, canonicalize
 
 
 class GameFileError(ValueError):
@@ -143,22 +143,18 @@ def game_from_document(doc, where: str = "game document") -> GameSpec:
                     f"{where}: processes.{name}[{i}] has {len(arr)} values "
                     f"but the tree has {tree.n_nodes} nodes"
                 )
-            vals = []
             for v, x in enumerate(arr):
                 if isinstance(x, bool) or not isinstance(x, (int, float)):
                     raise GameParseError(
                         f"{where}: processes.{name}[{i}][{v}] must be a number"
                     )
-                vals.append(float(x))
-            try:
-                procs.append(AdaptedProcess(tuple(vals)))
-            except TreeError as exc:
-                raise GameStructureError(
-                    f"{where}: processes.{name}[{i}]: {exc}"
-                ) from exc
-        triples[name] = tuple(procs)
+            procs.append(arr)
+        triples[name] = procs
 
-    return GameSpec(tree, triples["X"], triples["Q"], triples["Y"])
+    try:
+        return GameSpec(tree, triples["X"], triples["Q"], triples["Y"])
+    except GameError as exc:
+        raise GameStructureError(f"{where}: {exc}") from exc
 
 
 def game_document(spec: GameSpec) -> dict:
@@ -172,9 +168,9 @@ def game_document(spec: GameSpec) -> dict:
         "players": spec.n_players,
         "nodes": nodes,
         "processes": {
-            "X": [list(p.values) for p in spec.X],
-            "Q": [list(p.values) for p in spec.Q],
-            "Y": [list(p.values) for p in spec.Y],
+            "X": [list(p) for p in spec.X],
+            "Q": [list(p) for p in spec.Q],
+            "Y": [list(p) for p in spec.Y],
         },
     }
 
@@ -191,7 +187,11 @@ def game_digest(spec: GameSpec) -> str:
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    except OSError as exc:
+        # name the caller's path, not the temp file that was never made
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -277,12 +277,7 @@ def gen_game(
         if mode == "touching" and rng.random() < touch_frac:
             for i in range(players):
                 qs[i][v] = ys[i][v]
-    return GameSpec(
-        tree,
-        tuple(AdaptedProcess(tuple(col)) for col in xs),
-        tuple(AdaptedProcess(tuple(col)) for col in qs),
-        tuple(AdaptedProcess(tuple(col)) for col in ys),
-    )
+    return GameSpec(tree, xs, qs, ys)
 
 
 def demo_constant(players: int, depth: int, branching: int) -> GameSpec:
@@ -292,8 +287,8 @@ def demo_constant(players: int, depth: int, branching: int) -> GameSpec:
     equilibrium paying 1 to everyone, so equilibria need not be unique;
     the solver's iteration stays at the horizon."""
     tree = ScenarioTree.uniform(depth, branching)
-    half = AdaptedProcess.constant(tree, 0.5)
-    one = AdaptedProcess.constant(tree, 1.0)
+    half = (0.5,) * tree.n_nodes
+    one = (1.0,) * tree.n_nodes
     return GameSpec(
         tree, (half,) * players, (one,) * players, (one,) * players
     )

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .game import AssumptionError, GameSpec, validate_assumptions
 from .gamefile import atomic_write_bytes, canonical_bytes, game_digest
-from .snell import EQ_TOL
+from .snell import EQ_TOL, RESIDUAL_TOL
 from .solver import (
     AuditViolation,
     EquilibriumCandidate,
@@ -68,7 +68,7 @@ def solve_and_certify(
     spec: GameSpec,
     max_rounds: Optional[int] = None,
     tol: float = EQ_TOL,
-    residual_tol: float = 1e-12,
+    residual_tol: float = RESIDUAL_TOL,
     strict_tol: float = 0.0,
 ) -> CertifiedRun:
     """Validate assumptions, run the iteration, audit every recorded

@@ -3,15 +3,16 @@
 The envelope of an obstacle process is the smallest supermartingale
 dominating it, computed by backward induction.  Alongside the envelope
 we return the earliest optimal stopping time: the first time, on each
-path, at which the obstacle matches the envelope.
+path, at which the obstacle matches the envelope.  Processes are any
+length-K float sequences indexed by node id; the envelope is a tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .tree import (
-    AdaptedProcess,
     ScenarioTree,
     StoppingTime,
     _check_process,
@@ -20,16 +21,19 @@ from .tree import (
 )
 
 EQ_TOL = 1e-9
+RESIDUAL_TOL = 1e-12  # default bound on each player's expected Y - Q tie gap
 
 
 @dataclass(frozen=True)
 class SnellResult:
-    envelope: AdaptedProcess
+    """Envelope (a length-K float tuple), earliest optimal stop, root value."""
+
+    envelope: tuple[float, ...]
     first_hit: StoppingTime
     root_value: float
 
 
-def snell_envelope(tree: ScenarioTree, obstacle: AdaptedProcess) -> SnellResult:
+def snell_envelope(tree: ScenarioTree, obstacle: Sequence[float]) -> SnellResult:
     """Backward-induction envelope of ``obstacle`` with earliest hits.
 
     At a leaf the envelope equals the obstacle.  At an internal node the
@@ -42,7 +46,6 @@ def snell_envelope(tree: ScenarioTree, obstacle: AdaptedProcess) -> SnellResult:
     ``first_hit``.
     """
     _check_process(tree, obstacle)
-    vals = obstacle.values
     children = tree.children
     cond = tree.cond_probs
     w = [0.0] * tree.n_nodes
@@ -50,20 +53,20 @@ def snell_envelope(tree: ScenarioTree, obstacle: AdaptedProcess) -> SnellResult:
     for v in range(tree.n_nodes - 1, -1, -1):
         kids = children[v]
         if not kids:
-            w[v] = vals[v]
+            w[v] = obstacle[v]
             hits.append(v)
             continue
         cont = 0.0
         for c in kids:
             cont += cond[c] * w[c]
-        u = vals[v]
+        u = obstacle[v]
         if u >= cont - EQ_TOL:
             w[v] = u
             hits.append(v)
         else:
             w[v] = cont
     return SnellResult(
-        envelope=AdaptedProcess(tuple(w)),
+        envelope=tuple(w),
         first_hit=canonicalize(hits, tree),
         root_value=w[0],
     )
@@ -75,15 +78,14 @@ def _one_step_holds(tree, process, bound, tol, martingale) -> bool:
     inequality."""
     _check_process(tree, process)
     first = _first_on_path(tree, bound.node_by_leaf)
-    vals = process.values
     cond = tree.cond_probs
     for v in range(tree.n_nodes):
         if first[v] >= 0:
             continue
         cont = 0.0
         for c in tree.children[v]:
-            cont += cond[c] * vals[c]
-        u = vals[v]
+            cont += cond[c] * process[c]
+        u = process[v]
         if abs(u - cont) > tol if martingale else u < cont - tol:
             return False
     return True
@@ -91,7 +93,7 @@ def _one_step_holds(tree, process, bound, tol, martingale) -> bool:
 
 def is_supermartingale_before(
     tree: ScenarioTree,
-    process: AdaptedProcess,
+    process: Sequence[float],
     bound: StoppingTime,
     tol: float = EQ_TOL,
 ) -> bool:
@@ -102,7 +104,7 @@ def is_supermartingale_before(
 
 def is_martingale_before(
     tree: ScenarioTree,
-    process: AdaptedProcess,
+    process: Sequence[float],
     bound: StoppingTime,
     tol: float = EQ_TOL,
 ) -> bool:

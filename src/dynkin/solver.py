@@ -118,12 +118,11 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
 
     # From the cutoff on, the envelope must equal the frozen obstacle.
     cut = _first_on_path(tree, theta.node_by_leaf)
-    u = obstacle.values
-    w = res.envelope.values
+    w = res.envelope
     flat_gap, flat_node = -1.0, -1
     for v, a in enumerate(cut):
         if a >= 0:
-            gap = abs(w[v] - u[v])
+            gap = abs(w[v] - obstacle[v])
             if gap > flat_gap:
                 flat_gap, flat_node = gap, v
 

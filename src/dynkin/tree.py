@@ -7,6 +7,10 @@ horizon depth, and each edge carries a strictly positive conditional
 probability; sibling probabilities sum to one, so every node is reached
 with positive probability.
 
+A process is a length-K float tuple indexed by node id (functions here
+take any length-K sequence).  Payoffs are checked for finiteness once,
+when a :class:`~dynkin.game.GameSpec` is built.
+
 A stopping time is represented by its stop node on each root-to-leaf
 path; these nodes form its canonical stop-set, an antichain meeting every
 path once.  Stopping "at the horizon" on a path means at that path's leaf.
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 PROB_TOL = 1e-12
@@ -198,34 +201,10 @@ class ScenarioTree:
         )
 
 
-@dataclass(frozen=True)
-class AdaptedProcess:
-    """Real value per tree node, indexed like the tree's node ids."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(x) for x in self.values)
-        for v, x in enumerate(vals):
-            if not math.isfinite(x):
-                raise TreeError(f"node {v}: process value {x!r} not finite")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def constant(cls, tree: ScenarioTree, value: float) -> "AdaptedProcess":
-        return cls((float(value),) * tree.n_nodes)
-
-    def __getitem__(self, v: int) -> float:
-        return self.values[v]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def _check_process(tree: ScenarioTree, process: AdaptedProcess) -> None:
-    if len(process.values) != tree.n_nodes:
+def _check_process(tree: ScenarioTree, process: Sequence[float]) -> None:
+    if len(process) != tree.n_nodes:
         raise TreeError(
-            f"process has {len(process.values)} values but tree has "
+            f"process has {len(process)} values but tree has "
             f"{tree.n_nodes} nodes"
         )
 
@@ -356,14 +335,13 @@ def leq(first: StoppingTime, second: StoppingTime) -> bool:
 
 
 def expect_at(
-    tree: ScenarioTree, process: AdaptedProcess, tau: StoppingTime
+    tree: ScenarioTree, process: Sequence[float], tau: StoppingTime
 ) -> float:
     """Expected value of the process sampled at the stopping time."""
     _check_process(tree, process)
     _check_stop(tree, tau)
-    vals = process.values
     prob = tree.prob
-    return math.fsum(prob[v] * vals[v] for v in sorted(tau.stop_set))
+    return math.fsum(prob[v] * process[v] for v in sorted(tau.stop_set))
 
 
 def count_stopping_times(tree: ScenarioTree) -> int:

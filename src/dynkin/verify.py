@@ -180,24 +180,24 @@ def verify_streamline(
         supermartingale_ok = is_supermartingale_before(tree, w, r_i, tol)
 
         cut = _first_on_path(tree, r_i.node_by_leaf)
-        x = spec.X[i].values
+        x = spec.X[i]
         dominance_ok = all(
-            w.values[v] >= x[v] - tol
+            w[v] >= x[v] - tol
             for v in range(tree.n_nodes)
             if cut[v] < 0
         )
         hit_equality_ok = all(
-            abs(w.values[v] - x[v]) <= tol
+            abs(w[v] - x[v]) <= tol
             for v in t_i.node_by_leaf
             if cut[v] < 0
         )
 
-        y = spec.Y[i].values
-        q = spec.Q[i].values
+        y = spec.Y[i]
+        q = spec.Q[i]
         boundary_ok = True
         for a in r_i.node_by_leaf:
             target = q[a] if tree.is_leaf(a) else y[a]
-            if abs(w.values[a] - target) > tol:
+            if abs(w[a] - target) > tol:
                 boundary_ok = False
                 break
         residual_ok = all(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from dynkin import AdaptedProcess, GameSpec, ScenarioTree, canonicalize
+from dynkin import GameSpec, ScenarioTree, canonicalize
 
 
 def chain_tree(depth: int) -> ScenarioTree:
@@ -37,10 +37,8 @@ def random_tree(rng: random.Random, depth=None, max_branch=3) -> ScenarioTree:
     return ScenarioTree(parents, probs)
 
 
-def random_process(rng, tree, lo=0.0, hi=1.0) -> AdaptedProcess:
-    return AdaptedProcess(
-        tuple(rng.uniform(lo, hi) for _ in range(tree.n_nodes))
-    )
+def random_process(rng, tree, lo=0.0, hi=1.0) -> tuple[float, ...]:
+    return tuple(rng.uniform(lo, hi) for _ in range(tree.n_nodes))
 
 
 def random_stop(rng, tree, p=0.3):
@@ -50,9 +48,4 @@ def random_stop(rng, tree, p=0.3):
 
 def triple_game(tree, x, q, y, players=2) -> GameSpec:
     """Game where every player shares the same (x, q, y) node arrays."""
-    xp = AdaptedProcess(tuple(x))
-    qp = AdaptedProcess(tuple(q))
-    yp = AdaptedProcess(tuple(y))
-    return GameSpec(
-        tree, (xp,) * players, (qp,) * players, (yp,) * players
-    )
+    return GameSpec(tree, (x,) * players, (q,) * players, (y,) * players)

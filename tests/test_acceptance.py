@@ -11,7 +11,6 @@ import time
 import pytest
 
 from dynkin import (
-    AdaptedProcess,
     best_response,
     brute_force_best_response,
     canonicalize,
@@ -164,7 +163,7 @@ def test_criterion_5_envelope_properties():
         u = random_process(rng, tree)
         res = snell_envelope(tree, u)
         for v in range(tree.n_nodes):
-            if res.envelope.values[v] < u.values[v]:
+            if res.envelope[v] < u[v]:
                 failures.append((case, "dominance", v))
                 break
         if not is_supermartingale_before(

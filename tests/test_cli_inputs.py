@@ -111,14 +111,40 @@ def test_mutated_profile_documents(tmp_path, capsys, good, name):
         assert code in (1, 2), (argv, err)
 
 
+@pytest.mark.parametrize("keys, value, shown", [
+    (("X", 0, 1), math.nan, "nan"),
+    (("Y", 1, 2), math.inf, "inf"),
+    (("Q", 0, 3), -math.inf, "-inf"),
+])
+def test_nonfinite_payoffs_fail_validation(tmp_path, capsys, keys, value,
+                                           shown):
+    doc = game_document(gen_game(2, 2, 2, seed=5, mode="touching"))
+    path = tmp_path / "game.json"
+    path.write_bytes(_dump(_with(doc, ("processes",) + keys, value)))
+    name, player, node = keys
+    for command in ("validate", "solve"):
+        code, err = _run(capsys, [command, str(path)])
+        assert code == 2
+        assert err == (
+            f"invalid input: {path}: processes.{name}[{player}]: "
+            f"node {node}: process value {shown} not finite\n"
+        )
+
+
+def _names_the_output(err: str, out: str) -> None:
+    assert err.startswith("cannot write output: ")
+    assert err.count("\n") == 1
+    assert repr(out) in err
+    assert ".tmp-" not in err
+
+
 @pytest.mark.parametrize("option", ["--report", "--trace"])
 def test_unwritable_solve_output(tmp_path, capsys, good, option):
     game, _ = good
     out = str(tmp_path / "missing" / "out")
     code, err = _run(capsys, ["solve", game, option, out])
     assert code == 1
-    assert err.startswith("cannot write output: ")
-    assert err.count("\n") == 1
+    _names_the_output(err, out)
 
 
 @pytest.mark.parametrize("argv", [
@@ -130,7 +156,7 @@ def test_unwritable_generated_game(tmp_path, capsys, argv):
     out = str(tmp_path / "missing" / "game.json")
     code, err = _run(capsys, [out if a == "OUT" else a for a in argv])
     assert code == 1
-    assert err.startswith("cannot write output: ")
+    _names_the_output(err, out)
 
 
 def test_gen_rejects_a_negative_gap(tmp_path, capsys):

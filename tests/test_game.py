@@ -6,7 +6,6 @@ import random
 import pytest
 
 from dynkin import (
-    AdaptedProcess,
     GameError,
     GameSpec,
     ScenarioTree,
@@ -28,17 +27,45 @@ from helpers import chain_tree, triple_game
 
 def test_spec_rejects_single_player():
     t = chain_tree(1)
-    p = AdaptedProcess.constant(t, 0.0)
+    p = (0.0,) * t.n_nodes
     with pytest.raises(GameError):
         GameSpec(t, (p,), (p,), (p,))
 
 
 def test_spec_rejects_wrong_length_process():
     t = chain_tree(1)
-    good = AdaptedProcess.constant(t, 0.0)
-    bad = AdaptedProcess((0.0,))
+    good = (0.0,) * t.n_nodes
+    bad = (0.0,)
     with pytest.raises(GameError):
         GameSpec(t, (good, bad), (good, good), (good, good))
+
+
+def test_spec_rejects_nonfinite_payoffs():
+    t = chain_tree(2)
+    for name, player, node, bad in (
+        ("X", 0, 1, float("nan")),
+        ("Q", 1, 2, float("inf")),
+        ("Y", 1, 0, float("-inf")),
+    ):
+        procs = {k: [[0.0] * 3, [0.0] * 3] for k in "XQY"}
+        procs[name][player][node] = bad
+        with pytest.raises(GameError) as exc:
+            GameSpec(t, procs["X"], procs["Q"], procs["Y"])
+        assert str(exc.value) == (
+            f"processes.{name}[{player}]: node {node}: process value "
+            f"{bad!r} not finite"
+        )
+
+
+def test_spec_turns_int_payoffs_into_float_tuples():
+    t = chain_tree(1)
+    spec = GameSpec(t, [[0, 1], [2, 3]], ([4, 5], [6, 7]), [(8, 9)] * 2)
+    for procs in (spec.X, spec.Q, spec.Y):
+        assert isinstance(procs, tuple)
+        for p in procs:
+            assert isinstance(p, tuple)
+            assert all(type(x) is float for x in p)
+    assert spec.Q == ((4.0, 5.0), (6.0, 7.0))
 
 
 def test_constant_game_passes_assumptions():
@@ -62,18 +89,9 @@ def test_touching_rule_violation():
     # Player 0 has Q < Y at the internal node, so player 1 needs X < Y
     # there, which fails because X = Y = 1.
     t = chain_tree(1)
-    x = (
-        AdaptedProcess((0.0, 0.0)),
-        AdaptedProcess((1.0, 0.0)),
-    )
-    q = (
-        AdaptedProcess((0.0, 0.5)),
-        AdaptedProcess((1.0, 0.5)),
-    )
-    y = (
-        AdaptedProcess((1.0, 1.0)),
-        AdaptedProcess((1.0, 1.0)),
-    )
+    x = ((0.0, 0.0), (1.0, 0.0))
+    q = ((0.0, 0.5), (1.0, 0.5))
+    y = ((1.0, 1.0), (1.0, 1.0))
     spec = GameSpec(t, x, q, y)
     report = validate_assumptions(spec)
     assert report.a3_violations == ()
@@ -92,9 +110,9 @@ def test_touching_rule_vacuous_when_q_equals_y():
 
 def test_strict_tol_loosens_the_trigger():
     t = chain_tree(1)
-    x = (AdaptedProcess((0.0, 0.0)), AdaptedProcess((1.0, 0.0)))
-    q = (AdaptedProcess((1.0 - 1e-13, 0.5)), AdaptedProcess((1.0, 0.5)))
-    y = (AdaptedProcess((1.0, 1.0)), AdaptedProcess((1.0, 1.0)))
+    x = ((0.0, 0.0), (1.0, 0.0))
+    q = ((1.0 - 1e-13, 0.5), (1.0, 0.5))
+    y = ((1.0, 1.0), (1.0, 1.0))
     spec = GameSpec(t, x, q, y)
     assert not validate_assumptions(spec, strict_tol=0.0).passed
     assert validate_assumptions(spec, strict_tol=1e-9).passed
@@ -103,10 +121,10 @@ def test_strict_tol_loosens_the_trigger():
 def test_end_payoff_uses_q_only_at_leaves():
     t = chain_tree(1)
     spec = triple_game(t, x=(0.0, 0.0), q=(0.0, 3.0), y=(5.0, 7.0))
-    assert end_payoff(spec, 0).values == (5.0, 3.0)
+    assert end_payoff(spec, 0) == (5.0, 3.0)
 
     spec2 = demo_constant(2, 2, 2)
-    assert end_payoff(spec2, 1).values == (1.0,) * 7
+    assert end_payoff(spec2, 1) == (1.0,) * 7
 
 
 def test_cutoff_obstacle_at_horizon_and_root():
@@ -117,11 +135,11 @@ def test_cutoff_obstacle_at_horizon_and_root():
     spec = triple_game(t, x, q, y)
 
     hor = cutoff_obstacle(spec, 0, horizon_stop(t))
-    assert hor.values[:3] == x[:3]
-    assert hor.values[3:] == q[3:]
+    assert hor[:3] == x[:3]
+    assert hor[3:] == q[3:]
 
     root = cutoff_obstacle(spec, 0, canonicalize([0], t))
-    assert root.values == (y[0],) * 7
+    assert root == (y[0],) * 7
 
 
 def test_cutoff_obstacle_mixed_cutoff():
@@ -132,11 +150,11 @@ def test_cutoff_obstacle_mixed_cutoff():
     spec = triple_game(t, x, q, y)
     theta = canonicalize([1], t)  # stop left at depth 1, right at horizon
     u = cutoff_obstacle(spec, 0, theta)
-    assert u.values[0] == x[0]
-    assert u.values[1] == y[1]
-    assert u.values[3] == y[1] and u.values[4] == y[1]
-    assert u.values[2] == x[2]
-    assert u.values[5] == q[5] and u.values[6] == q[6]
+    assert u[0] == x[0]
+    assert u[1] == y[1]
+    assert u[3] == y[1] and u[4] == y[1]
+    assert u[2] == x[2]
+    assert u[5] == q[5] and u[6] == q[6]
 
 
 def test_best_response_process_examples():
@@ -147,19 +165,19 @@ def test_best_response_process_examples():
     spec = triple_game(t, x, q, y)
 
     h_root = best_response_process(spec, 0, (canonicalize([0], t),))
-    assert h_root.values[0] == q[0]
-    assert h_root.values[1:] == (y[0],) * 6
+    assert h_root[0] == q[0]
+    assert h_root[1:] == (y[0],) * 6
 
     h_hor = best_response_process(spec, 0, (horizon_stop(t),))
-    assert h_hor.values[:3] == x[:3]
-    assert h_hor.values[3:] == q[3:]
+    assert h_hor[:3] == x[:3]
+    assert h_hor[3:] == q[3:]
 
     h_mixed = best_response_process(spec, 0, (canonicalize([1], t),))
-    assert h_mixed.values[0] == x[0]
-    assert h_mixed.values[1] == q[1]
-    assert h_mixed.values[3] == y[1] and h_mixed.values[4] == y[1]
-    assert h_mixed.values[2] == x[2]
-    assert h_mixed.values[5] == q[5] and h_mixed.values[6] == q[6]
+    assert h_mixed[0] == x[0]
+    assert h_mixed[1] == q[1]
+    assert h_mixed[3] == y[1] and h_mixed[4] == y[1]
+    assert h_mixed[2] == x[2]
+    assert h_mixed[5] == q[5] and h_mixed[6] == q[6]
 
 
 def test_payoff_case_split():
@@ -221,9 +239,9 @@ def test_payoff_scales_linearly():
     lam = 3.5
     scaled = GameSpec(
         spec.tree,
-        tuple(AdaptedProcess(tuple(lam * x for x in p.values)) for p in spec.X),
-        tuple(AdaptedProcess(tuple(lam * x for x in p.values)) for p in spec.Q),
-        tuple(AdaptedProcess(tuple(lam * x for x in p.values)) for p in spec.Y),
+        tuple(tuple(lam * x for x in p) for p in spec.X),
+        tuple(tuple(lam * x for x in p) for p in spec.Q),
+        tuple(tuple(lam * x for x in p) for p in spec.Y),
     )
     rng = random.Random(23)
     times = list(enumerate_stopping_times(spec.tree))

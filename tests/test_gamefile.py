@@ -81,9 +81,9 @@ def test_gen_rejects_a_negative_gap():
 def test_demo_constant_values():
     spec = demo_constant(4, 2, 3)
     assert spec.n_players == 4
-    assert all(x == 0.5 for p in spec.X for x in p.values)
-    assert all(x == 1.0 for p in spec.Q for x in p.values)
-    assert all(x == 1.0 for p in spec.Y for x in p.values)
+    assert all(x == 0.5 for p in spec.X for x in p)
+    assert all(x == 1.0 for p in spec.Q for x in p)
+    assert all(x == 1.0 for p in spec.Y for x in p)
 
 
 def test_load_rejects_bad_json(tmp_path):
@@ -174,6 +174,21 @@ def test_load_rejects_wrong_process_length():
     with pytest.raises(GameStructureError) as exc:
         game_from_document(doc)
     assert "X[1]" in str(exc.value)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_nonfinite_payoffs(tmp_path, token):
+    doc = game_document(demo_constant(2, 1, 2))
+    doc["processes"]["Y"][1][2] = float(token)
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))
+    assert f" {token}" in path.read_text()
+    with pytest.raises(GameStructureError) as exc:
+        load_game(str(path))
+    assert str(exc.value) == (
+        f"{path}: processes.Y[1]: node 2: process value "
+        f"{float(token)!r} not finite"
+    )
 
 
 def test_load_rejects_misnumbered_nodes():

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from dynkin import (
-    AdaptedProcess,
     ScenarioTree,
     canonicalize,
     enumerate_stopping_times,
@@ -20,26 +19,26 @@ from helpers import chain_tree, random_process, random_tree
 
 def test_chain_rising_obstacle_waits():
     t = chain_tree(2)
-    res = snell_envelope(t, AdaptedProcess((0.5, 0.5, 1.0)))
-    assert res.envelope.values == (1.0, 1.0, 1.0)
+    res = snell_envelope(t, (0.5, 0.5, 1.0))
+    assert res.envelope == (1.0, 1.0, 1.0)
     assert res.first_hit.stop_set == {2}
     assert res.root_value == 1.0
 
 
 def test_binary_root_hit():
     t = ScenarioTree.uniform(1, 2)
-    res = snell_envelope(t, AdaptedProcess((0.6, 1.0, 0.0)))
+    res = snell_envelope(t, (0.6, 1.0, 0.0))
     assert res.root_value == 0.6
     assert res.first_hit.stop_set == {0}
-    assert res.envelope.values == (0.6, 1.0, 0.0)
+    assert res.envelope == (0.6, 1.0, 0.0)
 
 
 def test_constant_obstacle_hits_immediately():
     t = ScenarioTree.uniform(2, 3)
-    res = snell_envelope(t, AdaptedProcess.constant(t, 0.7))
+    res = snell_envelope(t, (0.7,) * t.n_nodes)
     assert res.first_hit.stop_set == {0}
     assert res.root_value == 0.7
-    assert all(w == 0.7 for w in res.envelope.values)
+    assert all(w == 0.7 for w in res.envelope)
 
 
 def test_dominance_is_exact_on_random_instances():
@@ -49,7 +48,7 @@ def test_dominance_is_exact_on_random_instances():
         u = random_process(rng, tree)
         res = snell_envelope(tree, u)
         for v in range(tree.n_nodes):
-            assert res.envelope.values[v] >= u.values[v]
+            assert res.envelope[v] >= u[v]
 
 
 def test_envelope_properties_on_random_instances():
@@ -82,21 +81,19 @@ def test_envelope_monotone_in_obstacle():
     for _ in range(20):
         tree = random_tree(rng)
         lo = random_process(rng, tree)
-        hi = AdaptedProcess(
-            tuple(x + rng.uniform(0, 0.5) for x in lo.values)
-        )
+        hi = tuple(x + rng.uniform(0, 0.5) for x in lo)
         wlo = snell_envelope(tree, lo).envelope
         whi = snell_envelope(tree, hi).envelope
-        for a, b in zip(wlo.values, whi.values):
+        for a, b in zip(wlo, whi):
             assert a <= b + 1e-12
 
 
 def test_martingale_checks_flag_failures():
     t = chain_tree(2)
-    drifting = AdaptedProcess((0.0, 1.0, 1.0))
+    drifting = (0.0, 1.0, 1.0)
     hor = horizon_stop(t)
     assert not is_supermartingale_before(t, drifting, hor)
-    assert not is_martingale_before(t, AdaptedProcess((1.0, 0.5, 0.5)), hor)
+    assert not is_martingale_before(t, (1.0, 0.5, 0.5), hor)
     # strictly-before semantics: a bound at the root checks nothing
     root = canonicalize([0], t)
     assert is_martingale_before(t, drifting, root)

@@ -54,8 +54,8 @@ def test_constant_game_first_step_keeps_horizon():
     assert rec.mu == horizon_stop(spec.tree)
     assert rec.tau == horizon_stop(spec.tree)
     obstacle = cutoff_obstacle(spec, 0, rec.theta)
-    assert obstacle.values == (0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0)
-    assert snell_envelope(spec.tree, obstacle).envelope.values == (1.0,) * 7
+    assert obstacle == (0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0)
+    assert snell_envelope(spec.tree, obstacle).envelope == (1.0,) * 7
     assert rec.root_value == 1.0
     assert rec.flat_gap == 0.0
 

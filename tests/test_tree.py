@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynkin import (
-    AdaptedProcess,
     EnumerationCapError,
     ScenarioTree,
     TreeError,
@@ -179,24 +178,17 @@ def test_leq_examples():
 
 def test_expect_at_examples():
     t = binary(1)
-    z = AdaptedProcess((0.25, 1.0, 0.0))
+    z = (0.25, 1.0, 0.0)
     assert expect_at(t, z, horizon_stop(t)) == pytest.approx(0.5, abs=1e-15)
     assert expect_at(t, z, canonicalize([0], t)) == 0.25
-    const = AdaptedProcess.constant(t, 3.0)
+    const = (3.0,) * t.n_nodes
     assert expect_at(t, const, horizon_stop(t)) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_expect_at_rejects_wrong_length():
     t = binary(2)
     with pytest.raises(TreeError):
-        expect_at(t, AdaptedProcess((1.0, 2.0)), horizon_stop(t))
-
-
-def test_adapted_process_rejects_nonfinite():
-    with pytest.raises(TreeError):
-        AdaptedProcess((1.0, float("nan")))
-    with pytest.raises(TreeError):
-        AdaptedProcess((float("inf"),))
+        expect_at(t, (1.0, 2.0), horizon_stop(t))
 
 
 def test_count_matches_oracle():
@@ -339,8 +331,6 @@ def test_expect_at_monotone_in_process(case, seed):
     tree, raw = case
     tau = canonicalize(raw, tree)
     rng = random.Random(seed)
-    lo = AdaptedProcess(tuple(rng.uniform(0, 1) for _ in range(tree.n_nodes)))
-    hi = AdaptedProcess(
-        tuple(x + rng.uniform(0, 1) for x in lo.values)
-    )
+    lo = tuple(rng.uniform(0, 1) for _ in range(tree.n_nodes))
+    hi = tuple(x + rng.uniform(0, 1) for x in lo)
     assert expect_at(tree, lo, tau) <= expect_at(tree, hi, tau) + 1e-12
