@@ -33,10 +33,10 @@ class GameError(ValueError):
 class GameSpec:
     """Shared tree plus per-player payoff triples (X, Q, Y).
 
-    Each payoff is a length-K float tuple indexed by node id.  Building
-    a spec is where payoffs are checked, once: every value is converted
-    to ``float`` and non-finite values are rejected, so the processes
-    derived from them later need no check of their own.
+    Each payoff is a length-K sequence indexed by node id.  Building
+    a spec is where payoffs are checked, once: booleans, non-numbers and
+    non-finite values are rejected, and the spec keeps float tuples, so
+    the processes derived from them later need no check of their own.
     """
 
     tree: ScenarioTree
@@ -45,9 +45,6 @@ class GameSpec:
     Y: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        for name in ("X", "Q", "Y"):
-            procs = tuple(tuple(map(float, p)) for p in getattr(self, name))
-            object.__setattr__(self, name, procs)
         n = len(self.X)
         if n < 2:
             raise GameError(f"need at least 2 players, got {n}")
@@ -57,6 +54,7 @@ class GameSpec:
                 f"Y has {len(self.Y)}"
             )
         for name in ("X", "Q", "Y"):
+            procs = []
             for i, vals in enumerate(getattr(self, name)):
                 if len(vals) != self.tree.n_nodes:
                     raise GameError(
@@ -64,11 +62,20 @@ class GameSpec:
                         f"but tree has {self.tree.n_nodes} nodes"
                     )
                 for v, x in enumerate(vals):
+                    if type(x) is not float and (  # the common case first
+                        isinstance(x, bool) or not isinstance(x, (int, float))
+                    ):
+                        raise GameError(
+                            f"processes.{name}[{i}]: node {v}: process "
+                            f"value {x!r} not a number"
+                        )
                     if not math.isfinite(x):
                         raise GameError(
                             f"processes.{name}[{i}]: node {v}: process "
                             f"value {x!r} not finite"
                         )
+                procs.append(tuple(map(float, vals)))
+            object.__setattr__(self, name, tuple(procs))
 
     @property
     def n_players(self) -> int:
@@ -187,10 +194,11 @@ def validate_assumptions(
 def end_payoff(spec: GameSpec, player: int) -> tuple[float, ...]:
     """Value the player receives when opponents end the game at a node:
     their Y strictly before the horizon, their Q at it."""
-    tree = spec.tree
-    y = spec.Y[player]
+    out = list(spec.Y[player])
     q = spec.Q[player]
-    return tuple(q[v] if tree.is_leaf(v) else y[v] for v in range(tree.n_nodes))
+    for v in spec.tree.leaves:
+        out[v] = q[v]
+    return tuple(out)
 
 
 def cutoff_obstacle(
@@ -201,7 +209,8 @@ def cutoff_obstacle(
     the cutoff node and frozen along the rest of each path."""
     _check_stop(spec.tree, cutoff)
     ep = end_payoff(spec, player)
-    return _freeze(spec, spec.X[player], ep, ep, cutoff)
+    cut = _first_on_path(spec.tree, cutoff.node_by_leaf)
+    return _freeze(spec.X[player], ep, ep, cut)
 
 
 def best_response_process(
@@ -215,15 +224,16 @@ def best_response_process(
     each path.
     """
     rival = _rival_time(spec, player, others)
-    return _freeze(spec, spec.X[player], spec.Q[player], spec.Y[player], rival)
+    cut = _first_on_path(spec.tree, rival.node_by_leaf)
+    return _freeze(spec.X[player], spec.Q[player], spec.Y[player], cut)
 
 
-def _freeze(spec, x, at, below, cut: StoppingTime) -> tuple[float, ...]:
-    """``x`` strictly before the cut, ``at`` on the cut node, and the cut
-    node's ``below`` value frozen on the rest of each path."""
-    first = _first_on_path(spec.tree, cut.node_by_leaf)
+def _freeze(x, at, below, cut: Sequence[int]) -> tuple[float, ...]:
+    """``x`` strictly before the cut (``_first_on_path`` output), ``at``
+    on the cut node, and the cut node's ``below`` value frozen on the
+    rest of each path."""
     out = list(x)
-    for v, a in enumerate(first):
+    for v, a in enumerate(cut):
         if a == v:
             out[v] = at[v]
         elif a >= 0:

@@ -3,7 +3,8 @@
 The envelope of an obstacle process is the smallest supermartingale
 dominating it, computed by backward induction.  Alongside the envelope
 we return the earliest optimal stopping time: the first time, on each
-path, at which the obstacle matches the envelope.  Processes are any
+path, at which the obstacle matches the envelope; both come in a
+:class:`SnellResult`, which only this module exports.  Processes are any
 length-K float sequences indexed by node id; the envelope is a tuple.
 """
 
@@ -16,7 +17,6 @@ from .tree import (
     ScenarioTree,
     StoppingTime,
     _check_process,
-    _first_on_path,
     canonicalize,
 )
 
@@ -70,44 +70,3 @@ def snell_envelope(tree: ScenarioTree, obstacle: Sequence[float]) -> SnellResult
         first_hit=canonicalize(hits, tree),
         root_value=w[0],
     )
-
-
-def _one_step_holds(tree, process, bound, tol, martingale) -> bool:
-    """One-step check at every node strictly before ``bound``: equality
-    within ``tol`` if ``martingale``, else the supermartingale
-    inequality."""
-    _check_process(tree, process)
-    first = _first_on_path(tree, bound.node_by_leaf)
-    cond = tree.cond_probs
-    for v in range(tree.n_nodes):
-        if first[v] >= 0:
-            continue
-        cont = 0.0
-        for c in tree.children[v]:
-            cont += cond[c] * process[c]
-        u = process[v]
-        if abs(u - cont) > tol if martingale else u < cont - tol:
-            return False
-    return True
-
-
-def is_supermartingale_before(
-    tree: ScenarioTree,
-    process: Sequence[float],
-    bound: StoppingTime,
-    tol: float = EQ_TOL,
-) -> bool:
-    """Check the one-step supermartingale inequality at every node
-    strictly before ``bound``."""
-    return _one_step_holds(tree, process, bound, tol, martingale=False)
-
-
-def is_martingale_before(
-    tree: ScenarioTree,
-    process: Sequence[float],
-    bound: StoppingTime,
-    tol: float = EQ_TOL,
-) -> bool:
-    """Check the one-step martingale equality at every node strictly
-    before ``bound``."""
-    return _one_step_holds(tree, process, bound, tol, martingale=True)

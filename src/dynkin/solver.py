@@ -16,22 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .game import (
-    GameSpec,
-    cutoff_obstacle,
-    _insertion_payoff,
-    _rival_time,
-    _tie_gap,
-)
+from .game import GameSpec, cutoff_obstacle
 from .snell import EQ_TOL, snell_envelope
 from .tree import (
     StoppingTime,
     _first_on_path,
-    enumerate_stopping_times,
     horizon_stop,
     leq,
     min_stop,
-    DEFAULT_ENUM_CAP,
 )
 
 
@@ -274,47 +266,3 @@ def audit_iteration(
                                "this update's stopping time")
             )
     return violations
-
-
-def audit_deviation_bound(
-    spec: GameSpec,
-    state: SolverState,
-    cap: int = DEFAULT_ENUM_CAP,
-    tol: float = EQ_TOL,
-) -> list[AuditViolation]:
-    """Check, for every recorded update, that no deviation beats the
-    new stopping time by more than the simultaneous-stop slack.
-
-    For the update of player i with cutoff theta and new stop tau, and
-    for every alternative stopping time s, the payoff of s against the
-    opponents' stopping times in force at that update must not exceed
-    the payoff of tau plus the expected Y - Q gap collected where tau
-    meets the cutoff strictly before the horizon.
-    """
-    violations: list[AuditViolation] = []
-    if not state.trace:
-        return violations
-    alternatives = list(enumerate_stopping_times(spec.tree, cap))
-    latest = [horizon_stop(spec.tree)] * spec.n_players
-
-    for rec in state.trace:
-        others = [t for j, t in enumerate(latest) if j != rec.player]
-        rival = _rival_time(spec, rec.player, others)
-        base = _insertion_payoff(spec, rec.player, rival, rec.tau)
-        slack = _tie_gap(spec, rec.player, rec.tau, rec.theta)
-        bound = base + slack
-        for alt in alternatives:
-            val = _insertion_payoff(spec, rec.player, rival, alt)
-            if val > bound + tol:
-                violations.append(
-                    AuditViolation(
-                        rec.n,
-                        "deviation_bound",
-                        f"deviation {sorted(alt.stop_set)} earns "
-                        f"{val!r} against bound {bound!r}",
-                    )
-                )
-                break
-        latest[rec.player] = rec.tau
-    return violations
-

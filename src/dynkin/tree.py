@@ -5,11 +5,11 @@ topological order (every parent precedes its children, node 0 is the
 root).  The time of a node is its depth, every leaf sits at the common
 horizon depth, and each edge carries a strictly positive conditional
 probability; sibling probabilities sum to one, so every node is reached
-with positive probability.
+with positive probability (``tree.prob[v]`` for node ``v``).
 
-A process is a length-K float tuple indexed by node id (functions here
-take any length-K sequence).  Payoffs are checked for finiteness once,
-when a :class:`~dynkin.game.GameSpec` is built.
+A process is a length-K float tuple indexed by node id.  Payoffs are
+checked once, when a :class:`~dynkin.game.GameSpec` is built; this
+module only checks a process's length.
 
 A stopping time is represented by its stop node on each root-to-leaf
 path; these nodes form its canonical stop-set, an antichain meeting every
@@ -70,7 +70,6 @@ class ScenarioTree:
         "depth",
         "children",
         "leaves",
-        "leaf_index",
         "prob",
         "leaf_probs",
     )
@@ -151,7 +150,6 @@ class ScenarioTree:
         self.depth = tuple(depth)
         self.children = tuple(tuple(c) for c in kids)
         self.leaves = leaves
-        self.leaf_index = {v: k for k, v in enumerate(leaves)}
         self.prob = tuple(prob)
         self.leaf_probs = tuple(prob[v] for v in leaves)
 
@@ -179,10 +177,6 @@ class ScenarioTree:
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
-
-    def node_prob(self, v: int) -> float:
-        """Unconditional probability of reaching node ``v`` (root: 1)."""
-        return self.prob[v]
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -214,8 +208,9 @@ class StoppingTime:
 
     Only ``node_by_leaf`` (entry ``k`` on the path to ``tree.leaves[k]``)
     is stored; ``depth_by_leaf`` is derived once and ``stop_set`` on each
-    access.  Instances come from :func:`canonicalize` or the helpers
-    below and are immutable.
+    access.  Instances come from :func:`canonicalize`,
+    :func:`horizon_stop`, :func:`min_stop` or the enumeration, and are
+    immutable.
     """
 
     __slots__ = ("tree", "node_by_leaf", "depth_by_leaf")
@@ -228,14 +223,6 @@ class StoppingTime:
     @property
     def stop_set(self) -> frozenset[int]:
         return frozenset(self.node_by_leaf)
-
-    def depth_at(self, leaf: int) -> int:
-        """Stopping depth along the path ending at ``leaf``."""
-        return self.depth_by_leaf[self.tree.leaf_index[leaf]]
-
-    def stop_node_at(self, leaf: int) -> int:
-        """Stop node on the path ending at ``leaf``."""
-        return self.node_by_leaf[self.tree.leaf_index[leaf]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StoppingTime):
@@ -298,14 +285,6 @@ def horizon_stop(tree: ScenarioTree) -> StoppingTime:
     return StoppingTime(tree, tree.leaves)
 
 
-def depth_stop(tree: ScenarioTree, depth: int) -> StoppingTime:
-    """The stopping time that stops at a fixed depth on every path."""
-    if not 0 <= depth <= tree.horizon:
-        raise TreeError(f"depth {depth} outside 0..{tree.horizon}")
-    keep = [v for v in range(tree.n_nodes) if tree.depth[v] == depth]
-    return canonicalize(keep, tree)
-
-
 def min_stop(*taus: StoppingTime) -> StoppingTime:
     """Pathwise minimum of one or more stopping times."""
     if not taus:
@@ -332,16 +311,6 @@ def leq(first: StoppingTime, second: StoppingTime) -> bool:
     return all(
         a <= b for a, b in zip(first.depth_by_leaf, second.depth_by_leaf)
     )
-
-
-def expect_at(
-    tree: ScenarioTree, process: Sequence[float], tau: StoppingTime
-) -> float:
-    """Expected value of the process sampled at the stopping time."""
-    _check_process(tree, process)
-    _check_stop(tree, tau)
-    prob = tree.prob
-    return math.fsum(prob[v] * process[v] for v in sorted(tau.stop_set))
 
 
 def count_stopping_times(tree: ScenarioTree) -> int:

@@ -15,21 +15,18 @@ from typing import Sequence
 from .game import (
     GameSpec,
     best_response_process,
-    cutoff_obstacle,
+    end_payoff,
     payoff,
+    _freeze,
     _insertion_payoff,
     _rival_time,
     _tie_gap,
 )
-from .snell import (
-    EQ_TOL,
-    is_martingale_before,
-    is_supermartingale_before,
-    snell_envelope,
-)
+from .snell import EQ_TOL, snell_envelope
 from .solver import EquilibriumCandidate
 from .tree import (
     StoppingTime,
+    _check_stop,
     _first_on_path,
     enumerate_stopping_times,
     min_stop,
@@ -169,37 +166,51 @@ class StreamlineCertificate:
 def verify_streamline(
     spec: GameSpec, candidate: EquilibriumCandidate, tol: float = EQ_TOL
 ) -> StreamlineCertificate:
+    """Check each player's envelope witness (see
+    :class:`StreamlinePlayerCheck`) at the candidate."""
     tree = spec.tree
+    children = tree.children
+    cond = tree.cond_probs
+    joint = _first_on_path(tree, candidate.R_star.node_by_leaf)
     checks = []
     for i in range(spec.n_players):
         t_i = candidate.T_star[i]
         r_i = candidate.R_star_i[i]
-        w = snell_envelope(tree, cutoff_obstacle(spec, i, r_i)).envelope
-
-        martingale_ok = is_martingale_before(tree, w, candidate.R_star, tol)
-        supermartingale_ok = is_supermartingale_before(tree, w, r_i, tol)
-
+        _check_stop(tree, r_i)
         cut = _first_on_path(tree, r_i.node_by_leaf)
         x = spec.X[i]
-        dominance_ok = all(
-            w[v] >= x[v] - tol
-            for v in range(tree.n_nodes)
-            if cut[v] < 0
-        )
+        ep = end_payoff(spec, i)
+        w = snell_envelope(tree, _freeze(x, ep, ep, cut)).envelope
+
+        # One walk; on hand-built candidates R_star may pass the cutoff.
+        martingale_ok = supermartingale_ok = dominance_ok = True
+        for v in range(tree.n_nodes):
+            before_joint = joint[v] < 0
+            before_cut = cut[v] < 0
+            if not (before_joint or before_cut):
+                continue
+            cont = 0.0
+            for c in children[v]:
+                cont += cond[c] * w[c]
+            u = w[v]
+            if before_joint and abs(u - cont) > tol:
+                martingale_ok = False
+            if before_cut:
+                if u < cont - tol:
+                    supermartingale_ok = False
+                if not w[v] >= x[v] - tol:
+                    dominance_ok = False
         hit_equality_ok = all(
             abs(w[v] - x[v]) <= tol
             for v in t_i.node_by_leaf
             if cut[v] < 0
         )
 
+        boundary_ok = not any(
+            abs(w[a] - ep[a]) > tol for a in r_i.node_by_leaf
+        )
         y = spec.Y[i]
         q = spec.Q[i]
-        boundary_ok = True
-        for a in r_i.node_by_leaf:
-            target = q[a] if tree.is_leaf(a) else y[a]
-            if abs(w[a] - target) > tol:
-                boundary_ok = False
-                break
         residual_ok = all(
             abs(y[v] - q[v]) <= tol
             for v, a in zip(t_i.node_by_leaf, r_i.node_by_leaf)

@@ -1,14 +1,31 @@
-"""Shared builders for the test suite.
+"""Shared builders and reference checks for the test suite.
 
 Seeded random trees, processes, and stopping times used by both the
-module tests and the acceptance suite.
+module tests and the acceptance suite, plus checks only tests use:
+fixed-depth stops, expectations at a stopping time, the one-step
+(super)martingale condition and the brute-force deviation audit.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from typing import Sequence
 
-from dynkin import GameSpec, ScenarioTree, canonicalize
+from dynkin import (
+    AuditViolation,
+    GameSpec,
+    ScenarioTree,
+    SolverState,
+    StoppingTime,
+    TreeError,
+    canonicalize,
+    enumerate_stopping_times,
+    horizon_stop,
+)
+from dynkin.game import _insertion_payoff, _rival_time, _tie_gap
+from dynkin.snell import EQ_TOL
+from dynkin.tree import DEFAULT_ENUM_CAP, _check_process, _check_stop
 
 
 def chain_tree(depth: int) -> ScenarioTree:
@@ -49,3 +66,90 @@ def random_stop(rng, tree, p=0.3):
 def triple_game(tree, x, q, y, players=2) -> GameSpec:
     """Game where every player shares the same (x, q, y) node arrays."""
     return GameSpec(tree, (x,) * players, (q,) * players, (y,) * players)
+
+
+def depth_stop(tree: ScenarioTree, depth: int) -> StoppingTime:
+    """The stopping time that stops at a fixed depth on every path."""
+    if not 0 <= depth <= tree.horizon:
+        raise TreeError(f"depth {depth} outside 0..{tree.horizon}")
+    keep = [v for v in range(tree.n_nodes) if tree.depth[v] == depth]
+    return canonicalize(keep, tree)
+
+
+def expect_at(
+    tree: ScenarioTree, process: Sequence[float], tau: StoppingTime
+) -> float:
+    """Expected value of the process sampled at the stopping time."""
+    _check_process(tree, process)
+    _check_stop(tree, tau)
+    prob = tree.prob
+    return math.fsum(prob[v] * process[v] for v in sorted(tau.stop_set))
+
+
+def strictly_before(tree: ScenarioTree, tau: StoppingTime) -> list[bool]:
+    """Per node, whether no node of ``tau``'s stop set lies on its root
+    path (the node itself included)."""
+    stops = tau.stop_set
+    before = []
+    for v, p in enumerate(tree.parents):
+        before.append(v not in stops and (p is None or before[p]))
+    return before
+
+
+def one_step_holds(tree, process, bound, martingale, tol=EQ_TOL) -> bool:
+    """One-step check at every node strictly before ``bound``: equality
+    within ``tol`` if ``martingale``, else the supermartingale
+    inequality."""
+    for v, before in enumerate(strictly_before(tree, bound)):
+        if not before:
+            continue
+        cont = 0.0
+        for c in tree.children[v]:
+            cont += tree.cond_probs[c] * process[c]
+        u = process[v]
+        if abs(u - cont) > tol if martingale else u < cont - tol:
+            return False
+    return True
+
+
+def audit_deviation_bound(
+    spec: GameSpec,
+    state: SolverState,
+    cap: int = DEFAULT_ENUM_CAP,
+    tol: float = EQ_TOL,
+) -> list[AuditViolation]:
+    """Check, for every recorded update, that no deviation beats the
+    new stopping time by more than the simultaneous-stop slack.
+
+    For the update of player i with cutoff theta and new stop tau, and
+    for every alternative stopping time s, the payoff of s against the
+    opponents' stopping times in force at that update must not exceed
+    the payoff of tau plus the expected Y - Q gap collected where tau
+    meets the cutoff strictly before the horizon.
+    """
+    violations: list[AuditViolation] = []
+    if not state.trace:
+        return violations
+    alternatives = list(enumerate_stopping_times(spec.tree, cap))
+    latest = [horizon_stop(spec.tree)] * spec.n_players
+
+    for rec in state.trace:
+        others = [t for j, t in enumerate(latest) if j != rec.player]
+        rival = _rival_time(spec, rec.player, others)
+        base = _insertion_payoff(spec, rec.player, rival, rec.tau)
+        slack = _tie_gap(spec, rec.player, rec.tau, rec.theta)
+        bound = base + slack
+        for alt in alternatives:
+            val = _insertion_payoff(spec, rec.player, rival, alt)
+            if val > bound + tol:
+                violations.append(
+                    AuditViolation(
+                        rec.n,
+                        "deviation_bound",
+                        f"deviation {sorted(alt.stop_set)} earns "
+                        f"{val!r} against bound {bound!r}",
+                    )
+                )
+                break
+        latest[rec.player] = rec.tau
+    return violations

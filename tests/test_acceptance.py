@@ -16,13 +16,9 @@ from dynkin import (
     canonicalize,
     default_round_bound,
     demo_constant,
-    depth_stop,
     enumerate_stopping_times,
-    expect_at,
     gen_game,
     horizon_stop,
-    is_martingale_before,
-    is_supermartingale_before,
     payoff,
     residual_yq,
     run,
@@ -34,8 +30,18 @@ from dynkin import (
 )
 from dynkin.cli import main
 from dynkin.gamefile import game_document
-from dynkin.solver import audit_deviation_bound, audit_iteration
-from helpers import chain_tree, random_process, random_stop, random_tree, triple_game
+from dynkin.solver import audit_iteration
+from helpers import (
+    audit_deviation_bound,
+    chain_tree,
+    depth_stop,
+    expect_at,
+    one_step_holds,
+    random_process,
+    random_stop,
+    random_tree,
+    triple_game,
+)
 
 
 def _report(number: int, name: str, failures: list) -> None:
@@ -166,12 +172,13 @@ def test_criterion_5_envelope_properties():
             if res.envelope[v] < u[v]:
                 failures.append((case, "dominance", v))
                 break
-        if not is_supermartingale_before(
-            tree, res.envelope, horizon_stop(tree), tol=1e-9
+        if not one_step_holds(
+            tree, res.envelope, horizon_stop(tree), martingale=False,
+            tol=1e-9,
         ):
             failures.append((case, "supermartingale"))
-        if not is_martingale_before(
-            tree, res.envelope, res.first_hit, tol=1e-9
+        if not one_step_holds(
+            tree, res.envelope, res.first_hit, martingale=True, tol=1e-9,
         ):
             failures.append((case, "stopped martingale"))
         best = max(

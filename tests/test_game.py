@@ -13,16 +13,14 @@ from dynkin import (
     canonicalize,
     cutoff_obstacle,
     demo_constant,
-    depth_stop,
     end_payoff,
     enumerate_stopping_times,
-    expect_at,
     gen_game,
     horizon_stop,
     payoff,
     validate_assumptions,
 )
-from helpers import chain_tree, triple_game
+from helpers import chain_tree, depth_stop, expect_at, triple_game
 
 
 def test_spec_rejects_single_player():
@@ -54,6 +52,23 @@ def test_spec_rejects_nonfinite_payoffs():
         assert str(exc.value) == (
             f"processes.{name}[{player}]: node {node}: process value "
             f"{bad!r} not finite"
+        )
+
+
+def test_spec_rejects_bool_and_non_number_payoffs():
+    t = chain_tree(2)
+    for name, player, node, bad in (
+        ("X", 0, 1, True),
+        ("Q", 1, 2, "0.5"),
+        ("Y", 1, 0, None),
+    ):
+        procs = {k: [[0.0] * 3, [0.0] * 3] for k in "XQY"}
+        procs[name][player][node] = bad
+        with pytest.raises(GameError) as exc:
+            GameSpec(t, procs["X"], procs["Q"], procs["Y"])
+        assert str(exc.value) == (
+            f"processes.{name}[{player}]: node {node}: process value "
+            f"{bad!r} not a number"
         )
 
 

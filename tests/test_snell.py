@@ -8,13 +8,16 @@ from dynkin import (
     ScenarioTree,
     canonicalize,
     enumerate_stopping_times,
-    expect_at,
     horizon_stop,
-    is_martingale_before,
-    is_supermartingale_before,
     snell_envelope,
 )
-from helpers import chain_tree, random_process, random_tree
+from helpers import (
+    chain_tree,
+    expect_at,
+    one_step_holds,
+    random_process,
+    random_tree,
+)
 
 
 def test_chain_rising_obstacle_waits():
@@ -58,9 +61,10 @@ def test_envelope_properties_on_random_instances():
         u = random_process(rng, tree)
         res = snell_envelope(tree, u)
         hor = horizon_stop(tree)
-        assert is_supermartingale_before(tree, res.envelope, hor, tol=1e-9)
-        assert is_martingale_before(tree, res.envelope, res.first_hit,
-                                    tol=1e-9)
+        assert one_step_holds(tree, res.envelope, hor, martingale=False,
+                              tol=1e-9)
+        assert one_step_holds(tree, res.envelope, res.first_hit,
+                              martingale=True, tol=1e-9)
 
 
 def test_root_value_is_the_enumerated_supremum():
@@ -92,11 +96,11 @@ def test_martingale_checks_flag_failures():
     t = chain_tree(2)
     drifting = (0.0, 1.0, 1.0)
     hor = horizon_stop(t)
-    assert not is_supermartingale_before(t, drifting, hor)
-    assert not is_martingale_before(t, (1.0, 0.5, 0.5), hor)
+    assert not one_step_holds(t, drifting, hor, martingale=False)
+    assert not one_step_holds(t, (1.0, 0.5, 0.5), hor, martingale=True)
     # strictly-before semantics: a bound at the root checks nothing
     root = canonicalize([0], t)
-    assert is_martingale_before(t, drifting, root)
+    assert one_step_holds(t, drifting, root, martingale=True)
 
 
 def test_first_hit_is_pathwise_minimal_optimum():

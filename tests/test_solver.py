@@ -12,7 +12,6 @@ from dynkin import (
     default_round_bound,
     demo_constant,
     enumerate_stopping_times,
-    expect_at,
     gen_game,
     horizon_stop,
     init_state,
@@ -25,8 +24,7 @@ from dynkin import (
     step,
     verify_nash,
 )
-from dynkin.solver import audit_deviation_bound
-from helpers import chain_tree, triple_game
+from helpers import audit_deviation_bound, chain_tree, expect_at, triple_game
 
 
 def falling_chain_game():

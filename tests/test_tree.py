@@ -14,14 +14,12 @@ from dynkin import (
     TreeError,
     canonicalize,
     count_stopping_times,
-    depth_stop,
     enumerate_stopping_times,
-    expect_at,
     horizon_stop,
     leq,
     min_stop,
 )
-from helpers import chain_tree, random_tree
+from helpers import chain_tree, depth_stop, expect_at, random_tree
 
 
 def binary(depth):
@@ -90,11 +88,11 @@ def test_tree_rejects_nontopological_parent():
 
 def test_node_prob():
     t = binary(2)
-    assert t.node_prob(0) == 1.0
-    assert t.node_prob(1) == 0.5
-    assert t.node_prob(3) == 0.25
+    assert t.prob[0] == 1.0
+    assert t.prob[1] == 0.5
+    assert t.prob[3] == 0.25
     c = chain_tree(3)
-    assert all(c.node_prob(v) == 1.0 for v in range(c.n_nodes))
+    assert all(c.prob[v] == 1.0 for v in range(c.n_nodes))
 
 
 def test_canonicalize_root_absorbs_everything():
@@ -126,12 +124,9 @@ def test_canonicalize_rejects_unknown_ids():
 def test_stop_depths_mixed():
     t = binary(2)
     tau = canonicalize([1, 5, 6], t)
-    assert tau.depth_at(3) == 1
-    assert tau.depth_at(4) == 1
-    assert tau.depth_at(5) == 2
-    assert tau.depth_at(6) == 2
-    assert tau.stop_node_at(3) == 1
-    assert tau.stop_node_at(5) == 5
+    assert t.leaves == (3, 4, 5, 6)
+    assert tau.depth_by_leaf == (1, 1, 2, 2)
+    assert tau.node_by_leaf == (1, 1, 5, 6)
 
 
 def test_depth_stop():
@@ -208,7 +203,7 @@ def test_enumeration_is_complete_and_canonical():
     assert len({tau.stop_set for tau in times}) == 26
     for tau in times:
         assert canonicalize(tau.stop_set, t) == tau
-        total = math.fsum(t.node_prob(v) for v in tau.stop_set)
+        total = math.fsum(t.prob[v] for v in tau.stop_set)
         assert abs(total - 1.0) <= 1e-12
 
 
@@ -299,7 +294,7 @@ def test_canonicalize_idempotent_and_covers_paths(case):
             hits += v in tau.stop_set
             v = tree.parents[v]
         assert hits == 1
-    total = math.fsum(tree.node_prob(v) for v in tau.stop_set)
+    total = math.fsum(tree.prob[v] for v in tau.stop_set)
     assert abs(total - 1.0) <= 1e-12
 
 

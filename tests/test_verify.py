@@ -6,11 +6,13 @@ import random
 import pytest
 
 from dynkin import (
+    EquilibriumCandidate,
+    ScenarioTree,
     best_response,
     brute_force_best_response,
     canonicalize,
+    cutoff_obstacle,
     demo_constant,
-    depth_stop,
     enumerate_stopping_times,
     gen_game,
     horizon_stop,
@@ -18,10 +20,18 @@ from dynkin import (
     payoff,
     residual_yq,
     run,
+    snell_envelope,
     verify_nash,
     verify_streamline,
 )
-from helpers import chain_tree, random_stop, triple_game
+from helpers import (
+    chain_tree,
+    depth_stop,
+    one_step_holds,
+    random_stop,
+    strictly_before,
+    triple_game,
+)
 
 
 def test_best_response_in_constant_game():
@@ -128,6 +138,88 @@ def test_streamline_flags_a_forced_early_stop():
     cert = verify_streamline(spec, forced)
     assert not cert.players[0].hit_equality_ok
     assert not cert.passed
+
+
+STREAMLINE_FIELDS = (
+    "martingale_ok",
+    "supermartingale_ok",
+    "dominance_ok",
+    "hit_equality_ok",
+    "boundary_ok",
+    "residual_ok",
+)
+
+
+def reference_streamline(spec, cand, tol):
+    """Streamline booleans per player, rebuilt from the public obstacle
+    and envelope with one check per condition."""
+    tree = spec.tree
+    out = []
+    for i in range(spec.n_players):
+        t_i, r_i = cand.T_star[i], cand.R_star_i[i]
+        w = snell_envelope(tree, cutoff_obstacle(spec, i, r_i)).envelope
+        x, q, y = spec.X[i], spec.Q[i], spec.Y[i]
+        before = strictly_before(tree, r_i)
+        out.append((
+            one_step_holds(tree, w, cand.R_star, martingale=True, tol=tol),
+            one_step_holds(tree, w, r_i, martingale=False, tol=tol),
+            all(w[v] >= x[v] - tol
+                for v in range(tree.n_nodes) if before[v]),
+            all(abs(w[v] - x[v]) <= tol for v in t_i.stop_set if before[v]),
+            all(abs(w[a] - (q[a] if tree.is_leaf(a) else y[a])) <= tol
+                for a in r_i.stop_set),
+            all(abs(y[v] - q[v]) <= tol
+                for v, a in zip(t_i.node_by_leaf, r_i.node_by_leaf)
+                if v == a and not tree.is_leaf(v)),
+        ))
+    return out
+
+
+def streamline_booleans(cert):
+    return [tuple(getattr(c, f) for f in STREAMLINE_FIELDS)
+            for c in cert.players]
+
+
+def test_streamline_matches_a_reference_on_random_profiles():
+    rng = random.Random(6161)
+    seen = set()
+    for g in range(300):
+        spec = gen_game(2 + g % 3, rng.randint(1, 4), rng.randint(2, 3),
+                        seed=6100 + g, mode=("strict", "touching")[g % 2])
+        cand = make_candidate(
+            [random_stop(rng, spec.tree, p=rng.choice((0.1, 0.3, 0.6)))
+             for _ in range(spec.n_players)]
+        )
+        # The witness is built as an envelope, so only a negative tol
+        # makes its supermartingale, dominance and boundary checks fail.
+        for tol in (1e-9, 0.05, 0.3, -0.01):
+            got = streamline_booleans(verify_streamline(spec, cand, tol))
+            assert got == reference_streamline(spec, cand, tol), (g, tol)
+            seen.update(
+                (f, b) for row in got for f, b in zip(STREAMLINE_FIELDS, row)
+            )
+    # every condition both holds and fails somewhere in the mix
+    assert seen == {(f, b) for f in STREAMLINE_FIELDS for b in (True, False)}
+
+
+def test_streamline_when_the_joint_stop_passes_a_cutoff():
+    # Hand-built: player 0's cutoff is the root but the joint stop is the
+    # horizon, so the martingale check still covers the root, where the
+    # frozen witness meets its ternary average only up to rounding.
+    tree = ScenarioTree.uniform(1, 3)
+    spec = triple_game(tree, x=(0.1,) * 4, q=(0.9,) * 4, y=(0.9,) * 4)
+    hor = horizon_stop(tree)
+    cand = EquilibriumCandidate(
+        T_star=(hor, hor),
+        R_star_i=(canonicalize([0], tree), hor),
+        R_star=hor,
+        rounds_used=0,
+        converged=True,
+    )
+    cert = verify_streamline(spec, cand, tol=0.0)
+    assert streamline_booleans(cert) == reference_streamline(spec, cand, 0.0)
+    assert not cert.players[0].martingale_ok
+    assert cert.players[0].supermartingale_ok
 
 
 def test_residual_zero_for_constant_game():
