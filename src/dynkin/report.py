@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .game import AssumptionError, GameSpec, validate_assumptions
@@ -104,6 +104,9 @@ def build_report(
     trace_file: Optional[str] = None,
     timestamp: Optional[str] = None,
 ) -> dict:
+    """The run report as a JSON-ready dict.  Order violations, audit
+    violations and streamline checks are written field for field, so
+    those dataclasses' fields are report keys (see docs/format.md)."""
     tree = spec.tree
     cand = result.candidate
     if timestamp is None:
@@ -122,18 +125,6 @@ def build_report(
                 "nash_gap": cert.gap,
             }
         )
-    streamline_players = [
-        {
-            "player": c.player,
-            "martingale_ok": c.martingale_ok,
-            "supermartingale_ok": c.supermartingale_ok,
-            "dominance_ok": c.dominance_ok,
-            "hit_equality_ok": c.hit_equality_ok,
-            "boundary_ok": c.boundary_ok,
-            "residual_ok": c.residual_ok,
-        }
-        for c in result.streamline.players
-    ]
     return {
         "format": REPORT_FORMAT,
         "generated_at": timestamp,
@@ -148,14 +139,7 @@ def build_report(
             "passed": result.assumptions.passed,
             "strict_tol": result.assumptions.strict_tol,
             "a3_violations": [
-                {
-                    "player": v.player,
-                    "node": v.node,
-                    "x": v.x,
-                    "q": v.q,
-                    "y": v.y,
-                }
-                for v in result.assumptions.a3_violations
+                asdict(v) for v in result.assumptions.a3_violations
             ],
             "a4_violations": [
                 {
@@ -171,10 +155,7 @@ def build_report(
             "rounds_used": cand.rounds_used,
             "max_rounds": result.max_rounds,
             "steps": len(result.state.trace),
-            "audit_violations": [
-                {"n": v.n, "check": v.check, "detail": v.detail}
-                for v in result.audit_violations
-            ],
+            "audit_violations": [asdict(v) for v in result.audit_violations],
         },
         "equilibrium": {
             "players": players,
@@ -189,7 +170,7 @@ def build_report(
             "streamline": {
                 "passed": result.streamline.passed,
                 "tol": result.streamline.tol,
-                "players": streamline_players,
+                "players": [asdict(c) for c in result.streamline.players],
             },
             "residual_yq": {
                 "values": list(result.residuals),

@@ -3,9 +3,11 @@
 The envelope of an obstacle process is the smallest supermartingale
 dominating it, computed by backward induction.  Alongside the envelope
 we return the earliest optimal stopping time: the first time, on each
-path, at which the obstacle matches the envelope; both come in a
-:class:`SnellResult`, which only this module exports.  Processes are any
-length-K float sequences indexed by node id; the envelope is a tuple.
+path, at which the obstacle matches the envelope.  The backward pass
+marks those nodes, and one cut pass (``tree._first_on_path``) over the
+marks gives its stop on each path.  Both come in a :class:`SnellResult`,
+which only this module exports.  Processes are any length-K float
+sequences indexed by node id; the envelope is a tuple.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .tree import (
     ScenarioTree,
     StoppingTime,
     _check_process,
-    canonicalize,
+    _first_on_path,
 )
 
 EQ_TOL = 1e-9
@@ -65,8 +67,9 @@ def snell_envelope(tree: ScenarioTree, obstacle: Sequence[float]) -> SnellResult
             hits.append(v)
         else:
             w[v] = cont
+    first = _first_on_path(tree, hits)  # every leaf is a hit
     return SnellResult(
         envelope=tuple(w),
-        first_hit=canonicalize(hits, tree),
+        first_hit=StoppingTime(tree, [first[leaf] for leaf in tree.leaves]),
         root_value=w[0],
     )

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .game import GameSpec, cutoff_obstacle
+from .game import GameSpec, _freeze, end_payoff
 from .snell import EQ_TOL, snell_envelope
 from .tree import (
     StoppingTime,
+    _check_stop,
     _first_on_path,
     horizon_stop,
     leq,
@@ -103,13 +104,16 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
         tau for j, tau in enumerate(state.current) if j != player
     )
     theta = min_stop(*others)
-    obstacle = cutoff_obstacle(spec, player, theta)
-    res = snell_envelope(spec.tree, obstacle)
+    _check_stop(tree, theta)
+    # One cut walk feeds ``cutoff_obstacle``'s obstacle and the flat check.
+    cut = _first_on_path(tree, theta.node_by_leaf)
+    ep = end_payoff(spec, player)
+    obstacle = _freeze(spec.X[player], ep, ep, cut)
+    res = snell_envelope(tree, obstacle)
     mu = res.first_hit
     old = state.current[player]
 
     # From the cutoff on, the envelope must equal the frozen obstacle.
-    cut = _first_on_path(tree, theta.node_by_leaf)
     w = res.envelope
     flat_gap, flat_node = -1.0, -1
     for v, a in enumerate(cut):
@@ -118,23 +122,18 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
             if gap > flat_gap:
                 flat_gap, flat_node = gap, v
 
-    # Pathwise update: move to min(mu, old) where that stop still falls
-    # strictly before the cutoff, else keep the old stop (still canonical).
-    chosen = []
-    for k in range(len(spec.tree.leaves)):
-        md, od, td = (
-            mu.depth_by_leaf[k],
-            old.depth_by_leaf[k],
-            theta.depth_by_leaf[k],
+    # Pathwise update: min(mu, old) where mu stops strictly before the
+    # cutoff, else the old stop; the result stays canonical.
+    chosen = [
+        m if md <= od and md < td else o
+        for m, md, o, od, td in zip(
+            mu.node_by_leaf,
+            mu.depth_by_leaf,
+            old.node_by_leaf,
+            old.depth_by_leaf,
+            theta.depth_by_leaf,
         )
-        if md <= od:
-            early_node, early_depth = mu.node_by_leaf[k], md
-        else:
-            early_node, early_depth = old.node_by_leaf[k], od
-        if early_depth < td:
-            chosen.append(early_node)
-        else:
-            chosen.append(old.node_by_leaf[k])
+    ]
     tau_new = StoppingTime(tree, chosen)
 
     record = TraceRecord(

@@ -14,6 +14,9 @@ module only checks a process's length.
 A stopping time is represented by its stop node on each root-to-leaf
 path; these nodes form its canonical stop-set, an antichain meeting every
 path once.  Stopping "at the horizon" on a path means at that path's leaf.
+Node sets from outside (profile files, library callers) enter through
+:func:`canonicalize`; the envelope and the enumeration build per-leaf
+stops directly.
 """
 
 from __future__ import annotations
@@ -208,9 +211,10 @@ class StoppingTime:
 
     Only ``node_by_leaf`` (entry ``k`` on the path to ``tree.leaves[k]``)
     is stored; ``depth_by_leaf`` is derived once and ``stop_set`` on each
-    access.  Instances come from :func:`canonicalize`,
-    :func:`horizon_stop`, :func:`min_stop` or the enumeration, and are
-    immutable.
+    access.  Node sets from outside come in through :func:`canonicalize`;
+    inside the package (:func:`horizon_stop`, :func:`min_stop`, the
+    enumeration, the envelope, the solver) valid per-leaf stops are built
+    directly, unchecked.  Instances are immutable.
     """
 
     __slots__ = ("tree", "node_by_leaf", "depth_by_leaf")
@@ -267,6 +271,7 @@ def canonicalize(raw_stop_nodes: Iterable[int], tree: ScenarioTree) -> StoppingT
 
     On every root-to-leaf path only the first marked node is kept;
     paths that meet no marked node stop at their leaf (the horizon).
+    Every id is checked: node sets come from outside the package.
     """
     n = tree.n_nodes
     raw = tuple(raw_stop_nodes)
@@ -336,8 +341,9 @@ def enumerate_stopping_times(
     if total > cap:
         raise EnumerationCapError(total, cap)
 
-    # Per node, the stop sets of its subtree, built bottom-up (children
-    # have larger ids); a child's list is dropped once its parent used it.
+    # Per node, its subtree's times as per-leaf stops over its leaves in
+    # depth-first order, built bottom-up (children have larger ids); a
+    # child's list is dropped once its parent used it.
     options: dict[int, list[tuple[int, ...]]] = {}
     for v in range(tree.n_nodes - 1, -1, -1):
         kids = tree.children[v]
@@ -345,7 +351,12 @@ def enumerate_stopping_times(
         if kids:
             for combo in itertools.product(*(options.pop(c) for c in kids)):
                 out.append(tuple(itertools.chain.from_iterable(combo)))
+            out[0] = (v,) * len(out[1])  # stop at v on every leaf below
         options[v] = out
 
+    # The last time stops at every leaf, so it lists the leaves depth-first;
+    # put each time in ``tree.leaves`` order, as ids need not follow that.
+    where = {leaf: k for k, leaf in enumerate(options[0][-1])}
+    order = [where[leaf] for leaf in tree.leaves]
     for nodes in options[0]:
-        yield canonicalize(nodes, tree)
+        yield StoppingTime(tree, [nodes[k] for k in order])

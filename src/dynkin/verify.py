@@ -8,7 +8,6 @@ used as an oracle against the fast route on small trees).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,19 +58,12 @@ def brute_force_best_response(
     of the envelope route.
     """
     rival = _rival_time(spec, player, others)
-    best_val = -math.inf
-    values = []
-    candidates = []
-    for tau in enumerate_stopping_times(spec.tree, cap):
-        val = _insertion_payoff(spec, player, rival, tau)
-        candidates.append(tau)
-        values.append(val)
-        if val > best_val:
-            best_val = val
-    winners = [
-        tau for tau, val in zip(candidates, values)
-        if val >= best_val - BRUTE_TIE_TOL
+    scored = [
+        (_insertion_payoff(spec, player, rival, tau), tau)
+        for tau in enumerate_stopping_times(spec.tree, cap)
     ]
+    best_val = max(val for val, _ in scored)
+    winners = [tau for val, tau in scored if val >= best_val - BRUTE_TIE_TOL]
     return best_val, min_stop(*winners)
 
 
@@ -167,16 +159,18 @@ def verify_streamline(
     spec: GameSpec, candidate: EquilibriumCandidate, tol: float = EQ_TOL
 ) -> StreamlineCertificate:
     """Check each player's envelope witness (see
-    :class:`StreamlinePlayerCheck`) at the candidate."""
+    :class:`StreamlinePlayerCheck`) at the candidate.  Every time of the
+    candidate must live on the spec's tree, else ``TreeError``."""
     tree = spec.tree
     children = tree.children
     cond = tree.cond_probs
+    for tau in (candidate.R_star, *candidate.T_star, *candidate.R_star_i):
+        _check_stop(tree, tau)
     joint = _first_on_path(tree, candidate.R_star.node_by_leaf)
     checks = []
     for i in range(spec.n_players):
         t_i = candidate.T_star[i]
         r_i = candidate.R_star_i[i]
-        _check_stop(tree, r_i)
         cut = _first_on_path(tree, r_i.node_by_leaf)
         x = spec.X[i]
         ep = end_payoff(spec, i)

@@ -54,6 +54,46 @@ def random_tree(rng: random.Random, depth=None, max_branch=3) -> ScenarioTree:
     return ScenarioTree(parents, probs)
 
 
+def relabel(tree: ScenarioTree, rng: random.Random):
+    """The same tree with its node ids renumbered in a random topological
+    order, and the old id of every new node."""
+    order = [0]
+    ready = list(tree.children[0])
+    while ready:
+        v = ready.pop(rng.randrange(len(ready)))
+        order.append(v)
+        ready.extend(tree.children[v])
+    new_id = [0] * tree.n_nodes
+    for new, old in enumerate(order):
+        new_id[old] = new
+    parents = [None] + [new_id[tree.parents[old]] for old in order[1:]]
+    probs = [tree.cond_probs[old] for old in order]
+    return ScenarioTree(parents, probs), order
+
+
+def relabeled_game(spec: GameSpec, rng: random.Random) -> GameSpec:
+    """``spec`` moved onto a randomly renumbered copy of its tree."""
+    tree, order = relabel(spec.tree, rng)
+
+    def move(procs):
+        return tuple(tuple(p[old] for old in order) for p in procs)
+
+    return GameSpec(tree, move(spec.X), move(spec.Q), move(spec.Y))
+
+
+def depth_first_leaves(tree: ScenarioTree) -> tuple[int, ...]:
+    """Leaves in the order a depth-first walk from the root meets them."""
+    out = []
+    todo = [0]
+    while todo:
+        v = todo.pop()
+        kids = tree.children[v]
+        if not kids:
+            out.append(v)
+        todo.extend(reversed(kids))
+    return tuple(out)
+
+
 def random_process(rng, tree, lo=0.0, hi=1.0) -> tuple[float, ...]:
     return tuple(rng.uniform(lo, hi) for _ in range(tree.n_nodes))
 

@@ -9,12 +9,14 @@ trace fails here.  Only a change that deliberately alters the numbers
 """
 
 import hashlib
+import random
 
 import pytest
 
 from dynkin import build_report, gen_game, solve_and_certify
 from dynkin.gamefile import canonical_bytes
 from dynkin.report import write_trace
+from helpers import depth_first_leaves, relabeled_game
 
 # (players, depth, branching, seed, mode) -> (report sha256, trace sha256)
 PINNED = {
@@ -58,20 +60,43 @@ PINNED = {
 }
 
 
+# The same kind of key, but the game's tree is renumbered by
+# ``relabeled_game`` with ``random.Random(seed)``, so its leaf ids are
+# not in depth-first order.
+PINNED_RELABELED = {
+    (3, 3, 2, 15, "touching"): (
+        "dd56909085c4fef1686b587511abb82eba7d5a4350db4ba29a65aabedded3bc4",
+        "21fad6483142cebe003b167318ed3e8cd2dfef630582a187be10bede238cdf2e",
+    ),
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _digests(spec, tmp_path):
+    result = solve_and_certify(spec)
+    report = build_report(spec, result)
+    del report["generated_at"]
+    trace = tmp_path / "trace.csv"
+    write_trace(result.state, spec.tree, str(trace))
+    return _sha256(canonical_bytes(report)), _sha256(trace.read_bytes())
 
 
 @pytest.mark.parametrize("game", sorted(PINNED), ids=str)
 def test_report_and_trace_bytes_are_pinned(game, tmp_path):
     players, depth, branching, seed, mode = game
     spec = gen_game(players, depth, branching, seed=seed, mode=mode)
-    result = solve_and_certify(spec)
-    report = build_report(spec, result)
-    del report["generated_at"]
-    trace = tmp_path / "trace.csv"
-    write_trace(result.state, spec.tree, str(trace))
-    assert (
-        _sha256(canonical_bytes(report)),
-        _sha256(trace.read_bytes()),
-    ) == PINNED[game]
+    assert _digests(spec, tmp_path) == PINNED[game]
+
+
+@pytest.mark.parametrize("game", sorted(PINNED_RELABELED), ids=str)
+def test_bytes_are_pinned_on_a_relabeled_tree(game, tmp_path):
+    players, depth, branching, seed, mode = game
+    spec = relabeled_game(
+        gen_game(players, depth, branching, seed=seed, mode=mode),
+        random.Random(seed),
+    )
+    assert spec.tree.leaves != depth_first_leaves(spec.tree)
+    assert _digests(spec, tmp_path) == PINNED_RELABELED[game]

@@ -17,7 +17,9 @@ from helpers import (
     one_step_holds,
     random_process,
     random_tree,
+    relabel,
 )
+from dynkin.snell import EQ_TOL
 
 
 def test_chain_rising_obstacle_waits():
@@ -118,3 +120,28 @@ def test_first_hit_is_pathwise_minimal_optimum():
                         res.first_hit.depth_by_leaf, tau.depth_by_leaf
                     )
                 )
+
+
+def test_first_hit_is_the_canonical_hit_set():
+    # Reference route: mark every node where the obstacle meets the
+    # envelope's continuation within EQ_TOL, then canonicalize the marks.
+    rng = random.Random(16)
+    for i in range(60):
+        tree = random_tree(rng)
+        if i % 2:
+            tree = relabel(tree, rng)[0]
+        if i % 3:
+            u = random_process(rng, tree)
+        else:  # coarse values make ties with the continuation common
+            u = tuple(rng.choice((0.0, 0.5, 1.0)) for _ in range(tree.n_nodes))
+        res = snell_envelope(tree, u)
+        w = res.envelope
+        hits = []
+        for v in range(tree.n_nodes):
+            kids = tree.children[v]
+            cont = 0.0
+            for c in kids:
+                cont += tree.cond_probs[c] * w[c]
+            if not kids or u[v] >= cont - EQ_TOL:
+                hits.append(v)
+        assert res.first_hit == canonicalize(hits, tree)

@@ -3,6 +3,7 @@ enumeration."""
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,14 @@ from dynkin import (
     leq,
     min_stop,
 )
-from helpers import chain_tree, depth_stop, expect_at, random_tree
+from helpers import (
+    chain_tree,
+    depth_first_leaves,
+    depth_stop,
+    expect_at,
+    random_tree,
+    relabel,
+)
 
 
 def binary(depth):
@@ -196,15 +204,30 @@ def test_count_matches_oracle():
     assert count_stopping_times(binary(5)) == 458330
 
 
+# Node ids in a game file need only be topological.  These trees number
+# their leaves out of depth-first order, e.g. leaves (3, 4, 5, 6) met by a
+# depth-first walk as (5, 6, 3, 4).
+def relabeled_trees():
+    rng = random.Random(77)
+    out = [ScenarioTree([None, 0, 0, 2, 2, 1, 1], [1.0] + [0.5] * 6)]
+    out += [
+        relabel(random_tree(rng, depth=rng.randint(2, 3)), rng)[0]
+        for _ in range(20)
+    ]
+    assert sum(t.leaves != depth_first_leaves(t) for t in out) >= 10
+    return out
+
+
 def test_enumeration_is_complete_and_canonical():
-    t = binary(3)
-    times = list(enumerate_stopping_times(t))
-    assert len(times) == 26
-    assert len({tau.stop_set for tau in times}) == 26
-    for tau in times:
-        assert canonicalize(tau.stop_set, t) == tau
-        total = math.fsum(t.prob[v] for v in tau.stop_set)
-        assert abs(total - 1.0) <= 1e-12
+    assert len(list(enumerate_stopping_times(binary(3)))) == 26
+    for t in (binary(3), *relabeled_trees()):
+        times = list(enumerate_stopping_times(t))
+        assert len(times) == count_stopping_times(t)
+        assert len({tau.stop_set for tau in times}) == len(times)
+        for tau in times:
+            assert canonicalize(tau.stop_set, t) == tau
+            total = math.fsum(t.prob[v] for v in tau.stop_set)
+            assert abs(total - 1.0) <= 1e-12
 
 
 def test_equality_and_hash_follow_the_stop_set():
@@ -237,9 +260,10 @@ def test_enumeration_cap_survives_a_huge_count():
 
 
 def test_enumeration_order_matches_the_recursive_listing():
-    for t in (binary(3), ScenarioTree.uniform(2, 3), chain_tree(4)):
-        got = [tau.stop_set for tau in enumerate_stopping_times(t)]
-        assert got == [frozenset(o) for o in oracle_options(t)]
+    for t in (binary(3), ScenarioTree.uniform(2, 3), chain_tree(4),
+              *relabeled_trees()):
+        got = list(enumerate_stopping_times(t))
+        assert got == [canonicalize(o, t) for o in oracle_options(t)]
 
 
 def test_enumeration_of_a_deep_chain():
@@ -321,8 +345,6 @@ def test_min_stop_routes_agree(case):
 @settings(max_examples=60, deadline=None)
 @given(tree_and_nodes(), st.integers(min_value=0, max_value=10 ** 6))
 def test_expect_at_monotone_in_process(case, seed):
-    import random
-
     tree, raw = case
     tau = canonicalize(raw, tree)
     rng = random.Random(seed)

@@ -1,6 +1,7 @@
 """Certification layer: best responses, equilibrium and envelope
 checks, residual."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from dynkin import (
     EquilibriumCandidate,
     ScenarioTree,
+    TreeError,
     best_response,
     brute_force_best_response,
     canonicalize,
@@ -220,6 +222,19 @@ def test_streamline_when_the_joint_stop_passes_a_cutoff():
     assert streamline_booleans(cert) == reference_streamline(spec, cand, 0.0)
     assert not cert.players[0].martingale_ok
     assert cert.players[0].supermartingale_ok
+
+
+def test_streamline_rejects_times_on_another_tree():
+    spec = demo_constant(2, 1, 2)
+    cand, _ = run(spec)
+    far = horizon_stop(ScenarioTree.uniform(3, 2))
+    for bad in (
+        dataclasses.replace(cand, R_star=far),
+        dataclasses.replace(cand, T_star=(cand.T_star[0], far)),
+        dataclasses.replace(cand, R_star_i=(far, cand.R_star_i[1])),
+    ):
+        with pytest.raises(TreeError, match="different tree"):
+            verify_streamline(spec, bad)
 
 
 def test_residual_zero_for_constant_game():
