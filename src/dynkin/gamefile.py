@@ -6,7 +6,11 @@ order, root parent ``null``), and ``processes`` (object with keys
 ``X``, ``Q``, ``Y``, each an array of per-player node-indexed arrays).
 Serialization is canonical (sorted keys, two-space indent, shortest
 round-trip floats) so identical games produce identical bytes, and all
-writes go through a temp file followed by an atomic rename.
+writes go through a temp file followed by an atomic rename.  One game
+writer produces those canonical bytes: :func:`save_game` writes them
+and :func:`game_digest` hashes them in chunks, so the digest never
+holds the whole document.  Other documents (profiles, reports) go
+through :func:`canonical_bytes`.
 
 Errors are split into two kinds so callers can map them to distinct
 exit codes: :class:`GameParseError` for undecodable or mistyped
@@ -105,9 +109,9 @@ def game_from_document(doc, where: str = "game document") -> GameSpec:
                 f"{where}: nodes[{k}] has id {node_id}, ids must be "
                 "0..K-1 in order"
             )
-        parent = entry.get("parent", "missing")
-        if parent == "missing":
+        if "parent" not in entry:
             raise GameParseError(f"{where}: nodes[{k}]: missing field 'parent'")
+        parent = entry["parent"]
         if parent is not None and (
             isinstance(parent, bool) or not isinstance(parent, int)
         ):
@@ -124,65 +128,100 @@ def game_from_document(doc, where: str = "game document") -> GameSpec:
     except TreeError as exc:
         raise GameStructureError(f"{where}: {exc}") from exc
 
+    # GameSpec checks every value.  Only when it or a shape check fails
+    # are the arrays accepted so far scanned for a value that is not a
+    # number, so a mistyped value is still reported first, in file order.
     triples = {}
-    for name in ("X", "Q", "Y"):
-        arrays = _require(processes, name, list, f"{where}: processes")
-        if len(arrays) != players:
-            raise GameStructureError(
-                f"{where}: processes.{name} has {len(arrays)} players, "
-                f"expected {players}"
-            )
-        procs = []
-        for i, arr in enumerate(arrays):
-            if not isinstance(arr, list):
-                raise GameParseError(
-                    f"{where}: processes.{name}[{i}] must be an array"
-                )
-            if len(arr) != tree.n_nodes:
-                raise GameStructureError(
-                    f"{where}: processes.{name}[{i}] has {len(arr)} values "
-                    f"but the tree has {tree.n_nodes} nodes"
-                )
-            for v, x in enumerate(arr):
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise GameParseError(
-                        f"{where}: processes.{name}[{i}][{v}] must be a number"
-                    )
-            procs.append(arr)
-        triples[name] = procs
-
+    shaped = []
     try:
+        for name in ("X", "Q", "Y"):
+            arrays = _require(processes, name, list, f"{where}: processes")
+            if len(arrays) != players:
+                raise GameStructureError(
+                    f"{where}: processes.{name} has {len(arrays)} players, "
+                    f"expected {players}"
+                )
+            for i, arr in enumerate(arrays):
+                if not isinstance(arr, list):
+                    raise GameParseError(
+                        f"{where}: processes.{name}[{i}] must be an array"
+                    )
+                if len(arr) != tree.n_nodes:
+                    raise GameStructureError(
+                        f"{where}: processes.{name}[{i}] has {len(arr)} "
+                        f"values but the tree has {tree.n_nodes} nodes"
+                    )
+                shaped.append((name, i, arr))
+            triples[name] = arrays
         return GameSpec(tree, triples["X"], triples["Q"], triples["Y"])
     except GameError as exc:
+        _check_numbers(shaped, where)
         raise GameStructureError(f"{where}: {exc}") from exc
+    except GameFileError:
+        _check_numbers(shaped, where)
+        raise
 
 
-def game_document(spec: GameSpec) -> dict:
-    tree = spec.tree
-    nodes = [
-        {"id": v, "parent": tree.parents[v], "p": tree.cond_probs[v]}
-        for v in range(tree.n_nodes)
-    ]
-    return {
-        "horizon": tree.horizon,
-        "players": spec.n_players,
-        "nodes": nodes,
-        "processes": {
-            "X": [list(p) for p in spec.X],
-            "Q": [list(p) for p in spec.Q],
-            "Y": [list(p) for p in spec.Y],
-        },
-    }
+def _check_numbers(shaped, where: str) -> None:
+    for name, i, arr in shaped:
+        for v, x in enumerate(arr):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise GameParseError(
+                    f"{where}: processes.{name}[{i}][{v}] must be a number"
+                )
 
 
 def canonical_bytes(doc) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
+_NODE = '\n    {\n      "id": %d,\n      "p": %r,\n      "parent": %s\n    }'
+_VALUE = "\n        "
+# nodes or values per piece: bounds what the digest holds at once
+_PIECE = 1024
+
+
+def _game_chunks(spec: GameSpec):
+    """Yield the canonical text of ``spec``'s game file in pieces.
+
+    Joined, they are what ``canonical_bytes`` gives for the game as a
+    document (top-level keys ``horizon``, ``nodes``, ``players``,
+    ``processes``; processes ``Q``, ``X``, ``Y``), without the
+    pure-Python encoder that ``indent`` forces: nodes are formatted
+    from one template (``%r`` is the float repr ``json`` writes), and
+    payoff values go through the C encoder and are re-indented at its
+    ``", "`` separators, which never occur inside a number.
+    """
+    tree = spec.tree
+    parents, probs, n = tree.parents, tree.cond_probs, tree.n_nodes
+    pieces = [(a, min(a + _PIECE, n)) for a in range(0, n, _PIECE)]
+    yield '{\n  "horizon": %d,\n  "nodes": [' % tree.horizon
+    for a, b in pieces:
+        yield ("," if a else "") + ",".join([
+            _NODE % (v, probs[v], "null" if parents[v] is None else parents[v])
+            for v in range(a, b)
+        ])
+    yield '\n  ],\n  "players": %d,\n  "processes": {' % spec.n_players
+    encode = json.JSONEncoder().encode
+    for name, procs in (("Q", spec.Q), ("X", spec.X), ("Y", spec.Y)):
+        yield ("" if name == "Q" else ",") + '\n    "%s": [' % name
+        for i, values in enumerate(procs):
+            yield ("," if i else "") + "\n      ["
+            for a, b in pieces:
+                yield (
+                    ("," if a else "") + _VALUE
+                    + encode(values[a:b])[1:-1].replace(", ", "," + _VALUE)
+                )
+            yield "\n      ]"
+        yield "\n    ]"
+    yield "\n  }\n}\n"
+
+
 def game_digest(spec: GameSpec) -> str:
-    return "sha256:" + hashlib.sha256(
-        canonical_bytes(game_document(spec))
-    ).hexdigest()
+    digest = hashlib.sha256()
+    for chunk in _game_chunks(spec):
+        digest.update(chunk.encode("utf-8"))
+    return "sha256:" + digest.hexdigest()
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -205,7 +244,7 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def save_game(spec: GameSpec, path: str) -> None:
-    atomic_write_bytes(path, canonical_bytes(game_document(spec)))
+    atomic_write_bytes(path, "".join(_game_chunks(spec)).encode("utf-8"))
 
 
 def load_profile(path: str, tree: ScenarioTree, players: int) -> list[StoppingTime]:

@@ -3,7 +3,9 @@
 Seeded random trees, processes, and stopping times used by both the
 module tests and the acceptance suite, plus checks only tests use:
 fixed-depth stops, expectations at a stopping time, the one-step
-(super)martingale condition and the brute-force deviation audit.
+(super)martingale condition, the brute-force deviation audit, and the
+game document as a dict, the reference the game writer is checked
+against.
 """
 
 from __future__ import annotations
@@ -79,6 +81,24 @@ def relabeled_game(spec: GameSpec, rng: random.Random) -> GameSpec:
         return tuple(tuple(p[old] for old in order) for p in procs)
 
     return GameSpec(tree, move(spec.X), move(spec.Q), move(spec.Y))
+
+
+def game_document(spec: GameSpec) -> dict:
+    tree = spec.tree
+    nodes = [
+        {"id": v, "parent": tree.parents[v], "p": tree.cond_probs[v]}
+        for v in range(tree.n_nodes)
+    ]
+    return {
+        "horizon": tree.horizon,
+        "players": spec.n_players,
+        "nodes": nodes,
+        "processes": {
+            "X": [list(p) for p in spec.X],
+            "Q": [list(p) for p in spec.Q],
+            "Y": [list(p) for p in spec.Y],
+        },
+    }
 
 
 def depth_first_leaves(tree: ScenarioTree) -> tuple[int, ...]:

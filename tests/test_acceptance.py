@@ -29,13 +29,13 @@ from dynkin import (
     verify_streamline,
 )
 from dynkin.cli import main
-from dynkin.gamefile import game_document
 from dynkin.solver import audit_iteration
 from helpers import (
     audit_deviation_bound,
     chain_tree,
     depth_stop,
     expect_at,
+    game_document,
     one_step_holds,
     random_process,
     random_stop,

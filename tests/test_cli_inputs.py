@@ -9,7 +9,7 @@ import pytest
 
 from dynkin import gen_game, save_game
 from dynkin.cli import main
-from dynkin.gamefile import game_document
+from helpers import game_document
 
 DEEP = b"[" * 100_000 + b"]" * 100_000
 
@@ -129,6 +129,32 @@ def test_nonfinite_payoffs_fail_validation(tmp_path, capsys, keys, value,
             f"invalid input: {path}: processes.{name}[{player}]: "
             f"node {node}: process value {shown} not finite\n"
         )
+
+
+# The loader reports a mistyped payoff (exit 1) before any non-finite
+# one (exit 2), scanning X, then Q, then Y, each before the next
+# process's shape is checked.
+@pytest.mark.parametrize("edits, want_code, want_err", [
+    ({("X", 0, 0): math.nan, ("Q", 1, 3): "0.5"}, 1,
+     "parse error: {path}: processes.Q[1][3] must be a number\n"),
+    ({("Y", 1, 2): True}, 1,
+     "parse error: {path}: processes.Y[1][2] must be a number\n"),
+    ({("X", 1, 2): "0.5", ("Q", 0): [0.5]}, 1,
+     "parse error: {path}: processes.X[1][2] must be a number\n"),
+    ({("X", 0, 0): math.nan}, 2,
+     "invalid input: {path}: processes.X[0]: node 0: process value nan "
+     "not finite\n"),
+])
+def test_payoff_errors_keep_their_order(tmp_path, capsys, edits, want_code,
+                                        want_err):
+    doc = game_document(gen_game(2, 2, 2, seed=5, mode="touching"))
+    for keys, value in edits.items():
+        doc = _with(doc, ("processes",) + keys, value)
+    path = tmp_path / "game.json"
+    path.write_bytes(_dump(doc))
+    for command in ("validate", "solve"):
+        code, err = _run(capsys, [command, str(path)])
+        assert (code, err) == (want_code, want_err.format(path=path))
 
 
 def _names_the_output(err: str, out: str) -> None:

@@ -1,14 +1,20 @@
 """Game file round trips, canonical bytes, generation, negative
 controls."""
 
+import hashlib
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkin import (
     GameError,
     GameParseError,
+    GameSpec,
     GameStructureError,
     canonicalize,
     demo_constant,
@@ -20,7 +26,13 @@ from dynkin import (
     save_profile,
     validate_assumptions,
 )
-from dynkin.gamefile import canonical_bytes, game_document, game_from_document
+from dynkin.gamefile import (
+    _game_chunks,
+    canonical_bytes,
+    game_digest,
+    game_from_document,
+)
+from helpers import chain_tree, game_document, random_tree, relabeled_game
 
 
 def test_round_trip_preserves_the_game(tmp_path):
@@ -31,6 +43,89 @@ def test_round_trip_preserves_the_game(tmp_path):
     assert loaded == spec
     # canonical serialization is byte-stable across a round trip
     assert canonical_bytes(game_document(loaded)) == path.read_bytes()
+
+
+def _reference_bytes(spec) -> bytes:
+    return (
+        json.dumps(game_document(spec), sort_keys=True, indent=2) + "\n"
+    ).encode("utf-8")
+
+
+def _written_bytes(spec) -> bytes:
+    return "".join(_game_chunks(spec)).encode("utf-8")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 1e300, -1e300, 5.0,
+               -3.0, 1e16, 0.1]
+
+
+@st.composite
+def float_games(draw):
+    tree = random_tree(random.Random(draw(st.integers(0, 2**32))),
+                       depth=draw(st.integers(1, 3)))
+    values = st.lists(
+        st.one_of(st.sampled_from(EDGE_FLOATS),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=tree.n_nodes, max_size=tree.n_nodes,
+    )
+    players = draw(st.integers(2, 3))
+    x, q, y = ([draw(values) for _ in range(players)] for _ in range(3))
+    return GameSpec(tree, x, q, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_games())
+def test_writer_matches_the_reference_on_any_floats(spec):
+    assert _written_bytes(spec) == _reference_bytes(spec)
+
+
+def _int_game():
+    tree = chain_tree(3)
+    ints = [[0, 1, -2, 7], [3, 0, 10**15, 2]]
+    return GameSpec(tree, ints, ints, ints)
+
+
+def _chain_game():
+    rng = random.Random(3)
+    tree = chain_tree(2500)
+    def procs():
+        return [[rng.uniform(-5, 5) for _ in range(tree.n_nodes)]
+                for _ in range(3)]
+    return GameSpec(tree, procs(), procs(), procs())
+
+
+@pytest.mark.parametrize("make", [
+    _int_game,
+    _chain_game,
+    lambda: relabeled_game(gen_game(3, 3, 3, seed=15, mode="touching"),
+                           random.Random(15)),
+    lambda: demo_constant(3, 2, 3),
+    lambda: gen_game(2, 11, 2, seed=4, mode="touching"),
+], ids=["int_payoffs", "chain", "relabeled", "demo", "more_than_a_piece"])
+def test_writer_matches_the_reference(make):
+    spec = make()
+    assert _written_bytes(spec) == _reference_bytes(spec)
+
+
+def test_save_and_digest_agree(tmp_path):
+    path = tmp_path / "game.json"
+    for spec in (gen_game(3, 3, 2, seed=7, mode="touching"), _chain_game(),
+                 demo_constant(2, 1, 2)):
+        save_game(spec, str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert game_digest(spec) == "sha256:" + digest
+
+
+def test_digest_streams():
+    spec = gen_game(2, 13, 2, seed=1)  # 16,383 nodes
+    size = len(_written_bytes(spec))
+    tracemalloc.start()
+    try:
+        game_digest(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, (peak, size)
 
 
 def test_save_is_deterministic(tmp_path):
@@ -120,6 +215,19 @@ def test_load_rejects_missing_field(tmp_path):
     with pytest.raises(GameParseError) as exc:
         load_game(str(path))
     assert "horizon" in str(exc.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda node: node.pop("parent"), "missing field 'parent'"),
+    (lambda node: node.update(parent="missing"),
+     "field 'parent' must be an integer or null"),
+], ids=["absent", "the_string_missing"])
+def test_load_rejects_missing_or_mistyped_parent(edit, message):
+    doc = game_document(demo_constant(2, 1, 2))
+    edit(doc["nodes"][1])
+    with pytest.raises(GameParseError) as exc:
+        game_from_document(doc)
+    assert str(exc.value) == f"game document: nodes[1]: {message}"
 
 
 def test_load_rejects_bad_prob_sum(tmp_path):

@@ -19,8 +19,8 @@ from dynkin import (
     verify_streamline,
 )
 from dynkin.cli import main
-from dynkin.gamefile import game_document
 from dynkin.report import build_report, trace_table, write_report
+from helpers import game_document
 
 
 def _game_file(tmp_path, spec, name="game.json"):
