@@ -13,6 +13,7 @@ before the horizon.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,7 +70,11 @@ class GameSpec:
                             f"processes.{name}[{i}]: node {v}: process "
                             f"value {x!r} not a number"
                         )
-                    if not math.isfinite(x):
+                    try:
+                        finite = math.isfinite(x)
+                    except OverflowError:  # an int rounds to infinity
+                        x, finite = math.inf if x > 0 else -math.inf, False
+                    if not finite:
                         raise GameError(
                             f"processes.{name}[{i}]: node {v}: process "
                             f"value {x!r} not finite"
@@ -246,11 +251,11 @@ def payoff(
 ) -> float:
     """Expected yield for ``player`` under a full stopping profile.
 
-    On each root-to-leaf path, with t the player's stopping depth and r
-    the earliest opponent stopping depth: the player collects X at its
-    own stop node when t < r, Q there when t == r, and Y at the
-    opponents' stop node when t > r.  The result is the probability-
-    weighted sum over leaves.
+    On each root-to-leaf path, with t the player's stop node and r the
+    earliest opponent stop node (ids grow along a path, so t < r means
+    the player stops strictly first): the player collects X at t when
+    t < r, Q there when t == r, and Y at r when t > r.  The result is
+    the probability-weighted sum over leaves.
     """
     profile = tuple(profile)
     if len(profile) != spec.n_players:
@@ -278,41 +283,37 @@ def _rival_time(
     return min_stop(*others)
 
 
-def _insertion_payoff(spec, player, rival: StoppingTime, tau: StoppingTime):
-    """Payoff against the opponents' earliest stop; shared by the profile
-    evaluator and the brute-force responder so both use one case split."""
+def _collected(spec, player, stops, rivals) -> list[float]:
+    """Per path, what the player collects stopping at node t of ``stops``
+    when the opponents' earliest stop on that path is node r of
+    ``rivals``: X at t if t < r, Q at t if t == r, Y at r if t > r (ids
+    grow along a path).  The one place this case split lives."""
     x = spec.X[player]
     q = spec.Q[player]
     y = spec.Y[player]
-    probs = spec.tree.leaf_probs
-    t_depths = tau.depth_by_leaf
-    t_nodes = tau.node_by_leaf
-    r_depths = rival.depth_by_leaf
-    r_nodes = rival.node_by_leaf
-    terms = []
-    for k, p in enumerate(probs):
-        t = t_depths[k]
-        r = r_depths[k]
-        if t < r:
-            val = x[t_nodes[k]]
-        elif t == r:
-            val = q[t_nodes[k]]
-        else:
-            val = y[r_nodes[k]]
-        terms.append(p * val)
-    return math.fsum(terms)
+    return [
+        x[t] if t < r else q[t] if t == r else y[r]
+        for t, r in zip(stops, rivals)
+    ]
+
+
+def _insertion_payoff(spec, player, rival: StoppingTime, tau: StoppingTime):
+    """Payoff against the opponents' earliest stop, for the profile
+    evaluator (the brute-force responder scores the same terms)."""
+    vals = _collected(spec, player, tau.node_by_leaf, rival.node_by_leaf)
+    return math.fsum(map(operator.mul, spec.tree.leaf_probs, vals))
 
 
 def _tie_gap(spec, player, tau: StoppingTime, cut: StoppingTime) -> float:
     """Expected Y - Q gap collected where ``tau`` stops together with
-    ``cut`` strictly before the horizon."""
+    ``cut`` strictly before the horizon (at a node that is not a leaf)."""
     y = spec.Y[player]
     q = spec.Q[player]
-    horizon = spec.tree.horizon
-    terms = []
-    for k, p in enumerate(spec.tree.leaf_probs):
-        d = tau.depth_by_leaf[k]
-        if d == cut.depth_by_leaf[k] and d < horizon:
-            v = tau.node_by_leaf[k]
-            terms.append(p * (y[v] - q[v]))
-    return math.fsum(terms)
+    children = spec.tree.children
+    return math.fsum(
+        p * (y[v] - q[v])
+        for p, v, c in zip(
+            spec.tree.leaf_probs, tau.node_by_leaf, cut.node_by_leaf
+        )
+        if v == c and children[v]
+    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import tempfile
@@ -50,7 +51,10 @@ def _require(doc: dict, key: str, kind, where: str):
     if kind is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise GameParseError(f"{where}: field {key!r} must be a number")
-        return float(val)
+        try:
+            return float(val)
+        except OverflowError:  # an int rounds to infinity, as 1e400 does
+            return math.inf if val > 0 else -math.inf
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise GameParseError(f"{where}: field {key!r} must be an integer")

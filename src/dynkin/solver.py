@@ -123,15 +123,12 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
                 flat_gap, flat_node = gap, v
 
     # Pathwise update: min(mu, old) where mu stops strictly before the
-    # cutoff, else the old stop; the result stays canonical.
+    # cutoff, else the old stop; the result stays canonical.  Ids grow
+    # along a path, so comparing stops is comparing ids.
     chosen = [
-        m if md <= od and md < td else o
-        for m, md, o, od, td in zip(
-            mu.node_by_leaf,
-            mu.depth_by_leaf,
-            old.node_by_leaf,
-            old.depth_by_leaf,
-            theta.depth_by_leaf,
+        m if m <= o and m < t else o
+        for m, o, t in zip(
+            mu.node_by_leaf, old.node_by_leaf, theta.node_by_leaf
         )
     ]
     tau_new = StoppingTime(tree, chosen)
@@ -238,12 +235,15 @@ def audit_iteration(
                                "of the new stop and the cutoff")
             )
         bad_leaf = None
-        for k in range(len(tree.leaves)):
-            md = rec.mu.depth_by_leaf[k]
-            td = rec.theta.depth_by_leaf[k]
-            want = md if md < td else prev_tau.depth_by_leaf[k]
-            if rec.tau.depth_by_leaf[k] != want:
-                bad_leaf = tree.leaves[k]
+        for leaf, m, t, p, got in zip(
+            tree.leaves,
+            rec.mu.node_by_leaf,
+            rec.theta.node_by_leaf,
+            prev_tau.node_by_leaf,
+            rec.tau.node_by_leaf,
+        ):
+            if got != (m if m < t else p):
+                bad_leaf = leaf
                 break
         if bad_leaf is not None:
             violations.append(

@@ -14,6 +14,10 @@ module only checks a process's length.
 A stopping time is represented by its stop node on each root-to-leaf
 path; these nodes form its canonical stop-set, an antichain meeting every
 path once.  Stopping "at the horizon" on a path means at that path's leaf.
+Because ids are topological, a node's id grows with its depth along any
+root-to-leaf path: of two stops on one path the earlier is the one with
+the smaller id, and two stops at one depth are the same node.  Stops
+are compared by id only; depths are derived where a caller asks.
 Node sets from outside (profile files, library callers) enter through
 :func:`canonicalize`; the envelope and the enumeration build per-leaf
 stops directly.
@@ -21,8 +25,8 @@ stops directly.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from typing import Iterable, Iterator, Optional, Sequence
 
 PROB_TOL = 1e-12
@@ -210,19 +214,24 @@ class StoppingTime:
     """Stopping time as its stop node on every root-to-leaf path.
 
     Only ``node_by_leaf`` (entry ``k`` on the path to ``tree.leaves[k]``)
-    is stored; ``depth_by_leaf`` is derived once and ``stop_set`` on each
-    access.  Node sets from outside come in through :func:`canonicalize`;
-    inside the package (:func:`horizon_stop`, :func:`min_stop`, the
-    enumeration, the envelope, the solver) valid per-leaf stops are built
-    directly, unchecked.  Instances are immutable.
+    is stored, and times are compared path by path through these ids,
+    which grow along every path; ``depth_by_leaf`` and ``stop_set`` are
+    derived on each access.  Node sets from outside come in through
+    :func:`canonicalize`; inside the package (:func:`horizon_stop`,
+    :func:`min_stop`, the enumeration, the envelope, the solver) valid
+    per-leaf stops are built directly, unchecked.  Instances are
+    immutable.
     """
 
-    __slots__ = ("tree", "node_by_leaf", "depth_by_leaf")
+    __slots__ = ("tree", "node_by_leaf")
 
-    def __init__(self, tree: ScenarioTree, node_by_leaf: Sequence[int]):
+    def __init__(self, tree: ScenarioTree, node_by_leaf: Iterable[int]):
         self.tree = tree
         self.node_by_leaf = tuple(node_by_leaf)
-        self.depth_by_leaf = tuple(tree.depth[v] for v in self.node_by_leaf)
+
+    @property
+    def depth_by_leaf(self) -> tuple[int, ...]:
+        return tuple(map(self.tree.depth.__getitem__, self.node_by_leaf))
 
     @property
     def stop_set(self) -> frozenset[int]:
@@ -291,31 +300,24 @@ def horizon_stop(tree: ScenarioTree) -> StoppingTime:
 
 
 def min_stop(*taus: StoppingTime) -> StoppingTime:
-    """Pathwise minimum of one or more stopping times."""
+    """Pathwise minimum of one or more stopping times: on each path the
+    stop with the smaller id."""
     if not taus:
         raise TreeError("min_stop needs at least one stopping time")
     out = taus[0]
     for tau in taus[1:]:
         _check_stop(out.tree, tau)
-        nodes = tuple(
-            a if da <= db else b
-            for a, da, b, db in zip(
-                out.node_by_leaf,
-                out.depth_by_leaf,
-                tau.node_by_leaf,
-                tau.depth_by_leaf,
-            )
-        )
-        out = StoppingTime(out.tree, nodes)
+        out = StoppingTime(out.tree, [
+            a if a <= b else b
+            for a, b in zip(out.node_by_leaf, tau.node_by_leaf)
+        ])
     return out
 
 
 def leq(first: StoppingTime, second: StoppingTime) -> bool:
     """Whether ``first`` stops no later than ``second`` on every path."""
     _check_stop(first.tree, second)
-    return all(
-        a <= b for a, b in zip(first.depth_by_leaf, second.depth_by_leaf)
-    )
+    return all(map(operator.le, first.node_by_leaf, second.node_by_leaf))
 
 
 def count_stopping_times(tree: ScenarioTree) -> int:
@@ -337,26 +339,41 @@ def enumerate_stopping_times(
     tree: ScenarioTree, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[StoppingTime]:
     """Yield every canonical stopping time, refusing above the cap."""
+    stops, order = _depth_first_stops(tree, cap)
+    for nodes in stops:
+        yield StoppingTime(tree, map(nodes.__getitem__, order))
+
+
+def _depth_first_stops(
+    tree: ScenarioTree, cap: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Every canonical stopping time as raw per-leaf stops over the leaves
+    in depth-first order, in enumeration order, refusing above the cap;
+    and the positions that put such a tuple in ``tree.leaves`` order.
+    The last tuple stops at every leaf, so it lists the leaves
+    depth-first."""
     total = count_stopping_times(tree)
     if total > cap:
         raise EnumerationCapError(total, cap)
 
     # Per node, its subtree's times as per-leaf stops over its leaves in
     # depth-first order, built bottom-up (children have larger ids); a
-    # child's list is dropped once its parent used it.
+    # child's list is dropped once its parent used it.  Children are
+    # joined one at a time, in product order (last child fastest).
     options: dict[int, list[tuple[int, ...]]] = {}
     for v in range(tree.n_nodes - 1, -1, -1):
         kids = tree.children[v]
-        out = [(v,)]
-        if kids:
-            for combo in itertools.product(*(options.pop(c) for c in kids)):
-                out.append(tuple(itertools.chain.from_iterable(combo)))
-            out[0] = (v,) * len(out[1])  # stop at v on every leaf below
-        options[v] = out
+        if not kids:
+            options[v] = [(v,)]
+            continue
+        combos = options.pop(kids[0])
+        for c in kids[1:]:
+            more = options.pop(c)
+            combos = [a + b for a in combos for b in more]
+        # first, stop at v on every leaf below
+        options[v] = [(v,) * len(combos[0]), *combos]
 
-    # The last time stops at every leaf, so it lists the leaves depth-first;
-    # put each time in ``tree.leaves`` order, as ids need not follow that.
-    where = {leaf: k for k, leaf in enumerate(options[0][-1])}
-    order = [where[leaf] for leaf in tree.leaves]
-    for nodes in options[0]:
-        yield StoppingTime(tree, [nodes[k] for k in order])
+    # ``tree.leaves`` need not list the leaves depth-first.
+    stops = options[0]
+    where = {leaf: k for k, leaf in enumerate(stops[-1])}
+    return stops, [where[leaf] for leaf in tree.leaves]

@@ -3,11 +3,20 @@
 Two routes are kept deliberately separate: the envelope-based best
 response (fast, used for certificates) and a brute-force best response
 that enumerates every stopping time and evaluates raw payoffs (slow,
-used as an oracle against the fast route on small trees).
+used as an oracle against the fast route on small trees).  The oracle
+scores each enumerated time on its raw per-leaf stop tuple: per leaf,
+a table holds the leaf's probability times the raw X, Q or Y value
+collected at each node of its path against the opponents' earliest
+stop there, and a time scores the ``math.fsum`` of its entries, the
+correctly rounded sum :func:`~dynkin.game.payoff` also takes.  Only the
+maximizers become :class:`~dynkin.tree.StoppingTime` objects.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,8 +25,8 @@ from .game import (
     best_response_process,
     end_payoff,
     payoff,
+    _collected,
     _freeze,
-    _insertion_payoff,
     _rival_time,
     _tie_gap,
 )
@@ -26,8 +35,8 @@ from .solver import EquilibriumCandidate
 from .tree import (
     StoppingTime,
     _check_stop,
+    _depth_first_stops,
     _first_on_path,
-    enumerate_stopping_times,
     min_stop,
     DEFAULT_ENUM_CAP,
 )
@@ -53,17 +62,33 @@ def brute_force_best_response(
 ) -> tuple[float, StoppingTime]:
     """Enumerate every stopping time and maximize the raw payoff.
 
-    Ties within ``BRUTE_TIE_TOL`` of the maximum are resolved toward the
+    Scores come from per-leaf tables (see the module docstring).  Ties
+    within ``BRUTE_TIE_TOL`` of the maximum are resolved toward the
     pathwise-smallest maximizer, matching the earliest-hit convention
     of the envelope route.
     """
+    tree = spec.tree
     rival = _rival_time(spec, player, others)
-    scored = [
-        (_insertion_payoff(spec, player, rival, tau), tau)
-        for tau in enumerate_stopping_times(spec.tree, cap)
+    first = _first_on_path(tree, rival.node_by_leaf)
+    stops, order = _depth_first_stops(tree, cap)
+    parents = tree.parents
+    tables = []
+    for leaf in stops[-1]:  # the leaves in depth-first order
+        path = [leaf]
+        while path[-1]:
+            path.append(parents[path[-1]])
+        p = tree.prob[leaf]
+        vals = _collected(spec, player, path, itertools.repeat(first[leaf]))
+        tables.append({v: p * val for v, val in zip(path, vals)})
+    scores = [
+        math.fsum(map(operator.getitem, tables, nodes)) for nodes in stops
     ]
-    best_val = max(val for val, _ in scored)
-    winners = [tau for val, tau in scored if val >= best_val - BRUTE_TIE_TOL]
+    best_val = max(scores)
+    winners = [
+        StoppingTime(tree, map(nodes.__getitem__, order))
+        for val, nodes in zip(scores, stops)
+        if val >= best_val - BRUTE_TIE_TOL
+    ]
     return best_val, min_stop(*winners)
 
 

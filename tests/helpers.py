@@ -3,8 +3,10 @@
 Seeded random trees, processes, and stopping times used by both the
 module tests and the acceptance suite, plus checks only tests use:
 fixed-depth stops, expectations at a stopping time, the one-step
-(super)martingale condition, the brute-force deviation audit, and the
+(super)martingale condition, the brute-force deviation audit, the
 game document as a dict, the reference the game writer is checked
+against, and the depth-comparing pathwise minimum, order and
+brute-force best response the id-comparing package routes are checked
 against.
 """
 
@@ -28,6 +30,7 @@ from dynkin import (
 from dynkin.game import _insertion_payoff, _rival_time, _tie_gap
 from dynkin.snell import EQ_TOL
 from dynkin.tree import DEFAULT_ENUM_CAP, _check_process, _check_stop
+from dynkin.verify import BRUTE_TIE_TOL
 
 
 def chain_tree(depth: int) -> ScenarioTree:
@@ -213,3 +216,78 @@ def audit_deviation_bound(
                 break
         latest[rec.player] = rec.tau
     return violations
+
+
+# References that compare stops by depth.  They are the pathwise
+# minimum, order, payoff and brute-force best response as they stood
+# before the package compared stops by node id.
+
+def min_stop_by_depth(*taus: StoppingTime) -> StoppingTime:
+    """Pathwise minimum of one or more stopping times."""
+    if not taus:
+        raise TreeError("min_stop needs at least one stopping time")
+    out = taus[0]
+    for tau in taus[1:]:
+        _check_stop(out.tree, tau)
+        nodes = tuple(
+            a if da <= db else b
+            for a, da, b, db in zip(
+                out.node_by_leaf,
+                out.depth_by_leaf,
+                tau.node_by_leaf,
+                tau.depth_by_leaf,
+            )
+        )
+        out = StoppingTime(out.tree, nodes)
+    return out
+
+
+def leq_by_depth(first: StoppingTime, second: StoppingTime) -> bool:
+    """Whether ``first`` stops no later than ``second`` on every path."""
+    _check_stop(first.tree, second)
+    return all(
+        a <= b for a, b in zip(first.depth_by_leaf, second.depth_by_leaf)
+    )
+
+
+def insertion_payoff_by_depth(spec, player, rival: StoppingTime,
+                              tau: StoppingTime):
+    """Payoff against the opponents' earliest stop."""
+    x = spec.X[player]
+    q = spec.Q[player]
+    y = spec.Y[player]
+    probs = spec.tree.leaf_probs
+    t_depths = tau.depth_by_leaf
+    t_nodes = tau.node_by_leaf
+    r_depths = rival.depth_by_leaf
+    r_nodes = rival.node_by_leaf
+    terms = []
+    for k, p in enumerate(probs):
+        t = t_depths[k]
+        r = r_depths[k]
+        if t < r:
+            val = x[t_nodes[k]]
+        elif t == r:
+            val = q[t_nodes[k]]
+        else:
+            val = y[r_nodes[k]]
+        terms.append(p * val)
+    return math.fsum(terms)
+
+
+def reference_best_response(
+    spec: GameSpec,
+    player: int,
+    others: Sequence[StoppingTime],
+    cap: int = DEFAULT_ENUM_CAP,
+) -> tuple[float, StoppingTime]:
+    """Enumerate every stopping time and maximize the raw payoff; ties
+    within ``BRUTE_TIE_TOL`` go to the pathwise-smallest maximizer."""
+    rival = min_stop_by_depth(*others)
+    scored = [
+        (insertion_payoff_by_depth(spec, player, rival, tau), tau)
+        for tau in enumerate_stopping_times(spec.tree, cap)
+    ]
+    best_val = max(val for val, _ in scored)
+    winners = [tau for val, tau in scored if val >= best_val - BRUTE_TIE_TOL]
+    return best_val, min_stop_by_depth(*winners)

@@ -157,6 +157,36 @@ def test_payoff_errors_keep_their_order(tmp_path, capsys, edits, want_code,
         assert (code, err) == (want_code, want_err.format(path=path))
 
 
+# An integer beyond float range rounds to infinity, so it fails like
+# the decimal literal 1e400, which JSON reads as infinity: exit 2, with
+# the same message naming the field.
+@pytest.mark.parametrize("keys, big", [
+    (("processes", "X", 0, 0), 10**400),
+    (("processes", "Y", 1, 2), -10**400),
+    (("nodes", 1, "p"), 10**400),
+], ids=["payoff", "negative_payoff", "node_p"])
+def test_integers_beyond_float_range_fail_validation(tmp_path, capsys, good,
+                                                     keys, big):
+    _, profile = good
+    doc = game_document(gen_game(2, 2, 2, seed=5, mode="touching"))
+    data = _dump(_with(doc, keys, big))
+    path = tmp_path / "game.json"
+    literal = tmp_path / "literal.json"
+    path.write_bytes(data)
+    literal.write_bytes(
+        data.replace(str(big).encode(), b"-1e400" if big < 0 else b"1e400"))
+    for command in (["validate"], ["solve"], ["verify", "--profile", profile],
+                    ["oracle", "--player", "0", "--profile", profile]):
+        code, err = _run(capsys, [command[0], str(path), *command[1:]])
+        want = _run(capsys, [command[0], str(literal), *command[1:]])
+        assert (code, err.replace(str(path), "GAME")) == (
+            want[0], want[1].replace(str(literal), "GAME"))
+        assert code == 2
+        assert err.startswith(f"invalid input: {path}: ")
+        assert (f"processes.{keys[1]}[{keys[2]}]: node {keys[3]}: "
+                if keys[0] == "processes" else f"node {keys[1]}: ") in err
+
+
 def _names_the_output(err: str, out: str) -> None:
     assert err.startswith("cannot write output: ")
     assert err.count("\n") == 1

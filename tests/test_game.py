@@ -55,6 +55,23 @@ def test_spec_rejects_nonfinite_payoffs():
         )
 
 
+def test_spec_rejects_ints_beyond_float_range_as_infinite():
+    t = chain_tree(2)
+    # 10**5000 is too long even for repr()
+    for name, player, node, bad, shown in (
+        ("X", 1, 2, 10**400, "inf"),
+        ("Q", 0, 0, -10**5000, "-inf"),
+    ):
+        procs = {k: [[0.0] * 3, [0.0] * 3] for k in "XQY"}
+        procs[name][player][node] = bad
+        with pytest.raises(GameError) as exc:
+            GameSpec(t, procs["X"], procs["Q"], procs["Y"])
+        assert str(exc.value) == (
+            f"processes.{name}[{player}]: node {node}: process value "
+            f"{shown} not finite"
+        )
+
+
 def test_spec_rejects_bool_and_non_number_payoffs():
     t = chain_tree(2)
     for name, player, node, bad in (

@@ -1,4 +1,4 @@
-"""Report and trace bytes pinned across code versions.
+"""Report, trace and oracle output bytes pinned across code versions.
 
 Each entry names a seeded ``gen_game`` game and the sha256 digests of
 its canonical run report (less ``generated_at``) and of its
@@ -13,10 +13,18 @@ import random
 
 import pytest
 
-from dynkin import build_report, gen_game, solve_and_certify
+from dynkin import (
+    build_report,
+    demo_constant,
+    gen_game,
+    save_game,
+    save_profile,
+    solve_and_certify,
+)
+from dynkin.cli import main
 from dynkin.gamefile import canonical_bytes
 from dynkin.report import write_trace
-from helpers import depth_first_leaves, relabeled_game
+from helpers import depth_first_leaves, random_stop, relabeled_game
 
 # (players, depth, branching, seed, mode) -> (report sha256, trace sha256)
 PINNED = {
@@ -100,3 +108,74 @@ def test_bytes_are_pinned_on_a_relabeled_tree(game, tmp_path):
     )
     assert spec.tree.leaves != depth_first_leaves(spec.tree)
     assert _digests(spec, tmp_path) == PINNED_RELABELED[game]
+
+
+# sha256 of ``dynkin oracle`` stdout for players 0 and 1 against a
+# profile drawn by ``random_stop`` with ``random.Random(seed)``, which
+# stops the rivals at mixed depths; recorded before the oracle scored
+# raw stop tuples.  The key is a ``gen_game`` key, ``("relabeled", ...)``
+# for one moved by ``relabeled_game``, or ``("demo", players, depth,
+# branching, seed)``.
+PINNED_ORACLE = {
+    (2, 3, 2, 1, "strict"): (
+        "8f3744f2b9e40bd3297573d349a41b9b313a8248a04b2c66640145b00a9b1212",
+        "9684a97d1239ac191bd140e1c93769dd7e3f7654b799235a5a9facdce12d7664",
+    ),
+    (3, 2, 3, 5, "strict"): (
+        "62c9f80940c95b71424a3ce2840ff706f9efe10c724d94d4697774e1889174bf",
+        "dbc2445b8ee0ff12ac50b758b3beae7defed1660a53d4ddd6884af180a215fa2",
+    ),
+    (3, 3, 2, 2, "touching"): (
+        "2f15df56137713976540690f71a4c75c895eba9f6c7ad59b833dda58f7df0954",
+        "f913e4834f6248d58652d79f13c103c471b7a0b7fc0abfe151b24e12decd28b7",
+    ),
+    (2, 4, 2, 4, "touching"): (
+        "941ff6646ee8b6b6279b1cfe51055348e55060451a3535866d0dcdc0c2e441b6",
+        "066dfb83ad0f8c529489ccc652cf6bcf44a907b38655191a6926c8e8698ad6bb",
+    ),
+    (4, 2, 2, 6, "touching"): (
+        "f2da8cdb4136ca27e09b161022e200520eac5aa9624662501b95e625f232fe65",
+        "a17d8be0c52d1bed8beb4716b43673d832bdeb33a61c88ea7ca05ea3374d6d1e",
+    ),
+    ("relabeled", 3, 3, 2, 15, "touching"): (
+        "de1de8bc665203910a6cdc19238b42d7a42bdec06a770bf5cae8478332712302",
+        "bcbe2f04c6839674b35121c652978f63c0f23a29934938ce4666a56f7a3a07c7",
+    ),
+    ("demo", 2, 2, 2, 7): (
+        "750d7e031155db4b9e2536d1d49b76249e82b42b2227f872a05c1b93f296d376",
+        "750d7e031155db4b9e2536d1d49b76249e82b42b2227f872a05c1b93f296d376",
+    ),
+}
+
+
+def _oracle_game(key):
+    if key[0] == "demo":
+        _, players, depth, branching, seed = key
+        return demo_constant(players, depth, branching), seed
+    if key[0] == "relabeled":
+        players, depth, branching, seed, mode = key[1:]
+        spec = gen_game(players, depth, branching, seed=seed, mode=mode)
+        return relabeled_game(spec, random.Random(seed)), seed
+    players, depth, branching, seed, mode = key
+    return gen_game(players, depth, branching, seed=seed, mode=mode), seed
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_ORACLE, key=str), ids=str)
+def test_oracle_output_is_pinned(key, tmp_path, capsys):
+    spec, seed = _oracle_game(key)
+    rng = random.Random(seed)
+    game = tmp_path / "game.json"
+    profile = tmp_path / "profile.json"
+    save_game(spec, str(game))
+    save_profile(
+        [random_stop(rng, spec.tree) for _ in range(spec.n_players)],
+        str(profile),
+    )
+    digests = []
+    for player in (0, 1):
+        code = main(["oracle", str(game), "--player", str(player),
+                     "--profile", str(profile)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        digests.append(_sha256(out.encode("utf-8")))
+    assert tuple(digests) == PINNED_ORACLE[key]

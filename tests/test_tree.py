@@ -25,6 +25,8 @@ from helpers import (
     depth_first_leaves,
     depth_stop,
     expect_at,
+    leq_by_depth,
+    min_stop_by_depth,
     random_tree,
     relabel,
 )
@@ -351,3 +353,28 @@ def test_expect_at_monotone_in_process(case, seed):
     lo = tuple(rng.uniform(0, 1) for _ in range(tree.n_nodes))
     hi = tuple(x + rng.uniform(0, 1) for x in lo)
     assert expect_at(tree, lo, tau) <= expect_at(tree, hi, tau) + 1e-12
+
+
+@st.composite
+def tree_and_stops(draw):
+    """A tree, renumbered in a random topological order half the time,
+    and two to four stopping times on it."""
+    tree = draw(trees())
+    if draw(st.booleans()):
+        tree = relabel(tree, random.Random(draw(st.integers(0, 10 ** 6))))[0]
+    ids = st.integers(min_value=0, max_value=tree.n_nodes - 1)
+    raws = draw(st.lists(st.lists(ids, max_size=tree.n_nodes),
+                         min_size=2, max_size=4))
+    return tree, [canonicalize(raw, tree) for raw in raws]
+
+
+@settings(max_examples=120, deadline=None)
+@given(tree_and_stops())
+def test_comparing_by_id_matches_comparing_by_depth(case):
+    tree, taus = case
+    assert min_stop(*taus) == min_stop_by_depth(*taus)
+    for a in taus:
+        assert a.depth_by_leaf == tuple(tree.depth[v] for v in a.node_by_leaf)
+        for b in taus:
+            assert min_stop(a, b) == min_stop_by_depth(a, b)
+            assert leq(a, b) == leq_by_depth(a, b)

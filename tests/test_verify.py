@@ -8,6 +8,7 @@ import pytest
 
 from dynkin import (
     EquilibriumCandidate,
+    GameSpec,
     ScenarioTree,
     TreeError,
     best_response,
@@ -28,9 +29,15 @@ from dynkin import (
 )
 from helpers import (
     chain_tree,
+    depth_first_leaves,
     depth_stop,
+    min_stop_by_depth,
     one_step_holds,
+    random_process,
     random_stop,
+    random_tree,
+    reference_best_response,
+    relabel,
     strictly_before,
     triple_game,
 )
@@ -71,6 +78,63 @@ def test_brute_force_matches_envelope_route():
         v_brute, t_brute = brute_force_best_response(spec, player, others)
         assert abs(v_fast - v_brute) <= 1e-12
         assert t_fast == t_brute
+
+
+# Games paired with opponent profiles: seeded games against their
+# equilibrium and against random profiles, random games on relabeled
+# trees whose leaves are mostly out of depth-first order, the constant
+# demo against a root stop (every stopping time ties), and a deep chain.
+def _oracle_cases():
+    rng = random.Random(36)
+    shapes = ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3))
+    cases = []
+    for g in range(60):
+        depth, branching = shapes[g % len(shapes)]
+        spec = gen_game(2 + g % 3, depth, branching, seed=900 + g,
+                        mode=("strict", "touching")[g % 2])
+        if g % 3 == 0:
+            cases.append((spec, run(spec)[0].T_star))
+        p = (0.15, 0.4)[g % 2]
+        cases.append((spec, tuple(
+            random_stop(rng, spec.tree, p) for _ in range(spec.n_players)
+        )))
+    relabeled = 0
+    for g in range(20):
+        # uneven branch probabilities, so a leaf mixed up with another
+        # one changes the payoff
+        tree = relabel(random_tree(rng, depth=2 + g % 2), rng)[0]
+        spec = GameSpec(tree, *(
+            [random_process(rng, tree) for _ in range(2 + g % 3)]
+            for _ in "XQY"
+        ))
+        relabeled += tree.leaves != depth_first_leaves(tree)
+        cases.append((spec, tuple(
+            random_stop(rng, spec.tree) for _ in range(spec.n_players)
+        )))
+    assert relabeled >= 10
+    for demo in (demo_constant(2, 2, 2), demo_constant(3, 3, 2)):
+        root = canonicalize([0], demo.tree)
+        cases.append((demo, (root,) * demo.n_players))
+        cases.append((demo, (horizon_stop(demo.tree),) * demo.n_players))
+    chain = gen_game(2, 300, 1, seed=990, mode="touching")
+    cases.append((chain, (canonicalize([150], chain.tree),) * 2))
+    return cases
+
+
+def test_oracle_matches_the_depth_reference():
+    seen = set()
+    for spec, profile in _oracle_cases():
+        for i in range(spec.n_players):
+            others = profile[:i] + profile[i + 1:]
+            got = brute_force_best_response(spec, i, others)
+            assert got == reference_best_response(spec, i, others)
+            rival = min_stop_by_depth(*others).depth_by_leaf
+            seen.update(
+                (t > r) - (t < r)
+                for t, r in zip(got[1].depth_by_leaf, rival)
+            )
+    # the argmax stops before, with and after the rivals
+    assert seen == {-1, 0, 1}
 
 
 def test_best_response_dominates_every_insertion():
