@@ -7,7 +7,8 @@ first, ``Q[i]`` the value when the player stops simultaneously with the
 earliest opponent, and ``Y[i]`` the value when some opponent stops
 strictly first.  The standing order assumption is ``X <= Q <= Y``
 nodewise; a second assumption constrains where ``Q`` may touch ``Y``
-before the horizon.
+before the horizon.  One routine builds a player's obstacle against an
+opponents' cutoff: for the solver, :func:`cutoff_obstacle` and the witness.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .tree import (
     StoppingTime,
     _check_stop,
     _first_on_path,
+    _number,
     min_stop,
 )
 
@@ -63,21 +65,16 @@ class GameSpec:
                         f"but tree has {self.tree.n_nodes} nodes"
                     )
                 for v, x in enumerate(vals):
-                    if type(x) is not float and (  # the common case first
-                        isinstance(x, bool) or not isinstance(x, (int, float))
-                    ):
+                    f = x if type(x) is float else _number(x)  # floats first
+                    if f is None:
                         raise GameError(
                             f"processes.{name}[{i}]: node {v}: process "
                             f"value {x!r} not a number"
                         )
-                    try:
-                        finite = math.isfinite(x)
-                    except OverflowError:  # an int rounds to infinity
-                        x, finite = math.inf if x > 0 else -math.inf, False
-                    if not finite:
+                    if not math.isfinite(f):
                         raise GameError(
                             f"processes.{name}[{i}]: node {v}: process "
-                            f"value {x!r} not finite"
+                            f"value {f!r} not finite"
                         )
                 procs.append(tuple(map(float, vals)))
             object.__setattr__(self, name, tuple(procs))
@@ -110,10 +107,6 @@ class A4Violation:
     node: int
     trigger_player: int
     blocking_player: int
-    trigger_q: float
-    trigger_y: float
-    blocking_x: float
-    blocking_y: float
 
 
 @dataclass(frozen=True)
@@ -180,19 +173,7 @@ def validate_assumptions(
             j for j in range(n)
             if not spec.Y[j][v] - spec.X[j][v] > strict_tol
         ]
-        for i in triggers:
-            for j in blockers:
-                a4.append(
-                    A4Violation(
-                        node=v,
-                        trigger_player=i,
-                        blocking_player=j,
-                        trigger_q=spec.Q[i][v],
-                        trigger_y=spec.Y[i][v],
-                        blocking_x=spec.X[j][v],
-                        blocking_y=spec.Y[j][v],
-                    )
-                )
+        a4.extend(A4Violation(v, i, j) for i in triggers for j in blockers)
     return AssumptionReport(tuple(a3), tuple(a4), strict_tol)
 
 
@@ -212,10 +193,16 @@ def cutoff_obstacle(
     """Obstacle for the player's one-sided problem given an opponents'
     cutoff: X strictly before the cutoff, then the end payoff taken at
     the cutoff node and frozen along the rest of each path."""
+    return _cut_obstacle(spec, player, cutoff)[1]
+
+
+def _cut_obstacle(spec, player, cutoff):
+    """The cutoff's cut (``_first_on_path`` output) and the obstacle; the
+    one builder, for the solver, the witness and :func:`cutoff_obstacle`."""
     _check_stop(spec.tree, cutoff)
     ep = end_payoff(spec, player)
     cut = _first_on_path(spec.tree, cutoff.node_by_leaf)
-    return _freeze(spec.X[player], ep, ep, cut)
+    return cut, _freeze(spec.X[player], ep, ep, cut)
 
 
 def best_response_process(
@@ -301,7 +288,7 @@ def _insertion_payoff(spec, player, rival: StoppingTime, tau: StoppingTime):
     """Payoff against the opponents' earliest stop, for the profile
     evaluator (the brute-force responder scores the same terms)."""
     vals = _collected(spec, player, tau.node_by_leaf, rival.node_by_leaf)
-    return math.fsum(map(operator.mul, spec.tree.leaf_probs, vals))
+    return _fsum(list(map(operator.mul, spec.tree.leaf_probs, vals)))
 
 
 def _tie_gap(spec, player, tau: StoppingTime, cut: StoppingTime) -> float:
@@ -310,10 +297,20 @@ def _tie_gap(spec, player, tau: StoppingTime, cut: StoppingTime) -> float:
     y = spec.Y[player]
     q = spec.Q[player]
     children = spec.tree.children
-    return math.fsum(
+    return _fsum([
         p * (y[v] - q[v])
         for p, v, c in zip(
             spec.tree.leaf_probs, tau.node_by_leaf, cut.node_by_leaf
         )
         if v == c and children[v]
-    )
+    ])
+
+
+def _fsum(terms: Sequence[float]) -> float:
+    """The one summation rule for expected values: correctly rounded, and
+    ±inf beyond the float range, where ``math.fsum`` raises.  The terms
+    are probability-weighted, so the sum of their halves stays in range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return 2 * math.fsum(t / 2 for t in terms)

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import random
 import tempfile
 from typing import Sequence
 
 from .game import GameError, GameSpec
-from .tree import ScenarioTree, StoppingTime, TreeError, canonicalize
+from .tree import ScenarioTree, StoppingTime, TreeError, _number, canonicalize
 
 
 class GameFileError(ValueError):
@@ -49,12 +48,10 @@ def _require(doc: dict, key: str, kind, where: str):
         raise GameParseError(f"{where}: missing field {key!r}")
     val = doc[key]
     if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
+        num = _number(val)
+        if num is None:
             raise GameParseError(f"{where}: field {key!r} must be a number")
-        try:
-            return float(val)
-        except OverflowError:  # an int rounds to infinity, as 1e400 does
-            return math.inf if val > 0 else -math.inf
+        return num
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise GameParseError(f"{where}: field {key!r} must be an integer")
@@ -169,7 +166,7 @@ def game_from_document(doc, where: str = "game document") -> GameSpec:
 def _check_numbers(shaped, where: str) -> None:
     for name, i, arr in shaped:
         for v, x in enumerate(arr):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
+            if _number(x) is None:
                 raise GameParseError(
                     f"{where}: processes.{name}[{i}][{v}] must be a number"
                 )

@@ -104,9 +104,9 @@ def build_report(
     trace_file: Optional[str] = None,
     timestamp: Optional[str] = None,
 ) -> dict:
-    """The run report as a JSON-ready dict.  Order violations, audit
-    violations and streamline checks are written field for field, so
-    those dataclasses' fields are report keys (see docs/format.md)."""
+    """The run report as a JSON-ready dict.  Order, touching-rule and
+    audit violations and streamline checks are written field for field,
+    so those dataclasses' fields are report keys (see docs/format.md)."""
     tree = spec.tree
     cand = result.candidate
     if timestamp is None:
@@ -142,12 +142,7 @@ def build_report(
                 asdict(v) for v in result.assumptions.a3_violations
             ],
             "a4_violations": [
-                {
-                    "node": v.node,
-                    "trigger_player": v.trigger_player,
-                    "blocking_player": v.blocking_player,
-                }
-                for v in result.assumptions.a4_violations
+                asdict(v) for v in result.assumptions.a4_violations
             ],
         },
         "solver": {

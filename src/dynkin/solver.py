@@ -2,13 +2,13 @@
 
 Players start at the horizon and are updated one at a time in a round-
 robin.  On a player's turn the opponents' latest stopping times are
-merged into a cutoff, the player's one-sided obstacle against that
-cutoff is built, its Snell envelope and earliest optimal stop are
-computed, and the player's stopping time shrinks accordingly: on paths
-where stopping early (but still before the cutoff) is optimal the stop
-moves up, elsewhere it stays.  The per-player stopping times are non-
-increasing along the iteration, so the process reaches a fixed point;
-the fixed point is the returned equilibrium candidate.
+merged into a cutoff, the player's obstacle against it is built (by
+:func:`~dynkin.game.cutoff_obstacle`'s routine), its Snell envelope and
+earliest optimal stop are computed, and the player's stopping time
+shrinks accordingly: on paths where stopping early (but still before
+the cutoff) is optimal the stop moves up, elsewhere it stays.  The
+per-player stopping times are non-increasing along the iteration, so
+the process reaches a fixed point, the returned equilibrium candidate.
 """
 
 from __future__ import annotations
@@ -16,16 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .game import GameSpec, _freeze, end_payoff
+from .game import GameSpec, _cut_obstacle
 from .snell import EQ_TOL, snell_envelope
-from .tree import (
-    StoppingTime,
-    _check_stop,
-    _first_on_path,
-    horizon_stop,
-    leq,
-    min_stop,
-)
+from .tree import StoppingTime, horizon_stop, leq, min_stop
 
 
 @dataclass(frozen=True)
@@ -97,18 +90,11 @@ def init_state(spec: GameSpec) -> SolverState:
 def step(state: SolverState, spec: GameSpec) -> SolverState:
     """Advance the iteration by one player update."""
     tree = spec.tree
-    n_players = spec.n_players
     n_next = state.n + 1
-    player = state.n % n_players
-    others = tuple(
-        tau for j, tau in enumerate(state.current) if j != player
-    )
-    theta = min_stop(*others)
-    _check_stop(tree, theta)
-    # One cut walk feeds ``cutoff_obstacle``'s obstacle and the flat check.
-    cut = _first_on_path(tree, theta.node_by_leaf)
-    ep = end_payoff(spec, player)
-    obstacle = _freeze(spec.X[player], ep, ep, cut)
+    player = state.n % spec.n_players
+    theta = min_stop(*(t for j, t in enumerate(state.current) if j != player))
+    # One cut walk feeds the obstacle and the flat check.
+    cut, obstacle = _cut_obstacle(spec, player, theta)
     res = snell_envelope(tree, obstacle)
     mu = res.first_hit
     old = state.current[player]
@@ -122,11 +108,12 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
             if gap > flat_gap:
                 flat_gap, flat_node = gap, v
 
-    # Pathwise update: min(mu, old) where mu stops strictly before the
-    # cutoff, else the old stop; the result stays canonical.  Ids grow
-    # along a path, so comparing stops is comparing ids.
+    # Pathwise update: mu where it stops strictly before the cutoff, else
+    # the old stop; the result stays canonical.  Where mu stops before the
+    # cutoff it never passes the old stop, so this is min(mu, old) there.
+    # Ids grow along a path, so comparing stops is comparing ids.
     chosen = [
-        m if m <= o and m < t else o
+        m if m < t else o
         for m, o, t in zip(
             mu.node_by_leaf, old.node_by_leaf, theta.node_by_leaf
         )
@@ -235,14 +222,14 @@ def audit_iteration(
                                "of the new stop and the cutoff")
             )
         bad_leaf = None
-        for leaf, m, t, p, got in zip(
+        for leaf, m, t, o, got in zip(
             tree.leaves,
             rec.mu.node_by_leaf,
             rec.theta.node_by_leaf,
             prev_tau.node_by_leaf,
             rec.tau.node_by_leaf,
         ):
-            if got != (m if m < t else p):
+            if got != (m if m < t else o):
                 bad_leaf = leaf
                 break
         if bad_leaf is not None:

@@ -61,9 +61,9 @@ class ScenarioTree:
         Parent id per node, ``None`` for the root (node 0 only).
         Parents must precede children.
     cond_probs:
-        Conditional probability of reaching each node from its parent,
-        in ``(0, 1]``.  The root entry must be 1.  For every internal
-        node the children's entries must sum to 1 within ``PROB_TOL``.
+        Conditional probability of reaching each node from its parent, a
+        number (not a bool) in ``(0, 1]``; the root's entry must be 1.
+        Siblings' entries must sum to 1 within ``PROB_TOL``.
     horizon:
         Optional declared horizon; checked against the tree if given.
         Every leaf must sit at this depth and it must be at least 1.
@@ -88,7 +88,9 @@ class ScenarioTree:
         horizon: Optional[int] = None,
     ):
         parents = tuple(parents)
-        probs = tuple(float(p) for p in cond_probs)
+        raw = tuple(cond_probs)
+        floats = set(map(type, raw)) <= {float}  # the common case
+        probs = raw if floats else tuple(map(_number, raw))
         n = len(parents)
         if n != len(probs):
             raise TreeError(
@@ -108,6 +110,8 @@ class ScenarioTree:
                     "(ids must be topological)"
                 )
         for v, p in enumerate(probs):
+            if p is None:
+                raise TreeError(f"node {v}: cond_prob {raw[v]!r} not a number")
             if not math.isfinite(p) or not 0.0 < p <= 1.0:
                 raise TreeError(f"node {v}: cond_prob {p!r} not in (0, 1]")
         if abs(probs[0] - 1.0) > PROB_TOL:
@@ -200,6 +204,17 @@ class ScenarioTree:
             f"ScenarioTree(nodes={self.n_nodes}, horizon={self.horizon}, "
             f"leaves={len(self.leaves)})"
         )
+
+
+def _number(x) -> Optional[float]:
+    """The one number rule for probabilities and payoffs: ``x`` as a float
+    (an int beyond float range is ±inf, as 1e400), None if not a number."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _check_process(tree: ScenarioTree, process: Sequence[float]) -> None:

@@ -9,7 +9,9 @@ a table holds the leaf's probability times the raw X, Q or Y value
 collected at each node of its path against the opponents' earliest
 stop there, and a time scores the ``math.fsum`` of its entries, the
 correctly rounded sum :func:`~dynkin.game.payoff` also takes.  Only the
-maximizers become :class:`~dynkin.tree.StoppingTime` objects.
+maximizers become :class:`~dynkin.tree.StoppingTime` objects.  The
+witness's obstacles come from :func:`~dynkin.game.cutoff_obstacle`'s
+routine, as the solver's do.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from typing import Sequence
 from .game import (
     GameSpec,
     best_response_process,
-    end_payoff,
     payoff,
     _collected,
-    _freeze,
+    _cut_obstacle,
+    _fsum,
     _rival_time,
     _tie_gap,
 )
@@ -80,9 +82,13 @@ def brute_force_best_response(
         p = tree.prob[leaf]
         vals = _collected(spec, player, path, itertools.repeat(first[leaf]))
         tables.append({v: p * val for v, val in zip(path, vals)})
-    scores = [
-        math.fsum(map(operator.getitem, tables, nodes)) for nodes in stops
-    ]
+    try:
+        scores = [
+            math.fsum(map(operator.getitem, tables, nodes)) for nodes in stops
+        ]
+    except OverflowError:  # a sum passed the float range: ``payoff``'s rule
+        scores = [_fsum([*map(operator.getitem, tables, nodes)])
+                  for nodes in stops]
     best_val = max(scores)
     winners = [
         StoppingTime(tree, map(nodes.__getitem__, order))
@@ -196,10 +202,9 @@ def verify_streamline(
     for i in range(spec.n_players):
         t_i = candidate.T_star[i]
         r_i = candidate.R_star_i[i]
-        cut = _first_on_path(tree, r_i.node_by_leaf)
+        cut, obstacle = _cut_obstacle(spec, i, r_i)
         x = spec.X[i]
-        ep = end_payoff(spec, i)
-        w = snell_envelope(tree, _freeze(x, ep, ep, cut)).envelope
+        w = snell_envelope(tree, obstacle).envelope
 
         # One walk; on hand-built candidates R_star may pass the cutoff.
         martingale_ok = supermartingale_ok = dominance_ok = True
@@ -225,8 +230,9 @@ def verify_streamline(
             if cut[v] < 0
         )
 
+        # On the cut the obstacle holds the end payoff.
         boundary_ok = not any(
-            abs(w[a] - ep[a]) > tol for a in r_i.node_by_leaf
+            abs(w[a] - obstacle[a]) > tol for a in r_i.node_by_leaf
         )
         y = spec.Y[i]
         q = spec.Q[i]

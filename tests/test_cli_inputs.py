@@ -187,6 +187,59 @@ def test_integers_beyond_float_range_fail_validation(tmp_path, capsys, good,
                 if keys[0] == "processes" else f"node {keys[1]}: ") in err
 
 
+M = 1.7976931348623157e308  # the largest float
+
+
+def _uniform_doc(parents, probs, x, q, y):
+    """Two players with the same constant X, Q and Y at every node."""
+    n = len(parents)
+    depth = [0] * n
+    for v in range(1, n):
+        depth[v] = depth[parents[v]] + 1
+    return {
+        "horizon": depth[-1],
+        "players": 2,
+        "nodes": [{"id": v, "parent": parents[v], "p": probs[v]}
+                  for v in range(n)],
+        "processes": {k: [[val] * n] * 2
+                      for k, val in (("X", x), ("Q", q), ("Y", y))},
+    }
+
+
+# Every input value is finite, but an expected payoff passes the float
+# range: it is summed to infinity (the gap inf - inf is undefined, so
+# certification fails).  On the second game the exact sums stay in
+# range and the game solves.
+@pytest.mark.parametrize("doc, solve_code", [
+    (_uniform_doc([None, 0, 0], [1.0, 0.5000000000001, 0.4999999999999999],
+                  M, M, M), 4),
+    (_uniform_doc([None, 0, 0, 1, 1, 2, 2],
+                  [1.0, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9], M / 2, M, M), 0),
+], ids=["sum_beyond_range", "sum_near_range"])
+def test_payoffs_near_float_range_end_without_a_traceback(tmp_path, capsys,
+                                                          doc, solve_code):
+    path = tmp_path / "game.json"
+    profile = tmp_path / "profile.json"
+    report = tmp_path / "report.json"
+    path.write_bytes(_dump(doc))
+    profile.write_text("[[1, 2], [1, 2]]")
+    game = str(path)
+    assert _run(capsys, ["validate", game]) == (0, "")
+    for argv, want in (
+        (["solve", game, "--report", str(report)], solve_code),
+        (["verify", game, "--profile", str(profile)], solve_code),
+        (["oracle", game, "--player", "0", "--profile", str(profile)], 0),
+    ):
+        code, err = _run(capsys, argv)
+        assert code == want, (argv, err)
+        assert "Error" not in err
+    players = json.loads(report.read_text())["equilibrium"]["players"]
+    want_payoff = math.inf if solve_code else M
+    assert [p["payoff"] for p in players] == [want_payoff] * 2
+    gaps = [p["nash_gap"] for p in players]
+    assert all(map(math.isnan, gaps)) if solve_code else gaps == [0.0] * 2
+
+
 def _names_the_output(err: str, out: str) -> None:
     assert err.startswith("cannot write output: ")
     assert err.count("\n") == 1

@@ -10,16 +10,21 @@ trace fails here.  Only a change that deliberately alters the numbers
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from dynkin import (
+    GameSpec,
+    audit_iteration,
     build_report,
     demo_constant,
     gen_game,
+    horizon_stop,
     save_game,
     save_profile,
     solve_and_certify,
+    validate_assumptions,
 )
 from dynkin.cli import main
 from dynkin.gamefile import canonical_bytes
@@ -179,3 +184,40 @@ def test_oracle_output_is_pinned(key, tmp_path, capsys):
         assert (code, err) == (0, "")
         digests.append(_sha256(out.encode("utf-8")))
     assert tuple(digests) == PINNED_ORACLE[key]
+
+
+# sha256 of the report (less ``generated_at``) of a solved game whose
+# run carries order, touching-rule and audit violations, set with
+# ``dataclasses.replace``: the order and touching-rule entries come from
+# the same game with player 0's X and Y swapped, the audit entries from
+# the trace with its second record's stopping time put back at the
+# horizon.
+PINNED_VIOLATIONS = {
+    (3, 3, 2, 2, "touching"): (
+        "f310b326082955c3cbc8946fbd9d47c048508f0bff6fe61e8e01dc6ede3d4245"
+    ),
+}
+
+
+@pytest.mark.parametrize("game", sorted(PINNED_VIOLATIONS), ids=str)
+def test_report_with_violations_is_pinned(game):
+    players, depth, branching, seed, mode = game
+    spec = gen_game(players, depth, branching, seed=seed, mode=mode)
+    result = solve_and_certify(spec)
+    swapped = GameSpec(
+        spec.tree,
+        (spec.Y[0],) + spec.X[1:],
+        spec.Q,
+        (spec.X[0],) + spec.Y[1:],
+    )
+    assumptions = validate_assumptions(swapped)
+    trace = list(result.state.trace)
+    trace[1] = replace(trace[1], tau=horizon_stop(spec.tree))
+    state = replace(result.state, trace=tuple(trace))
+    audit = tuple(audit_iteration(state))
+    assert assumptions.a3_violations and assumptions.a4_violations and audit
+    run = replace(result, assumptions=assumptions, audit_violations=audit)
+    report = build_report(spec, run)
+    del report["generated_at"]
+    assert report["assumptions"]["a4_violations"]
+    assert _sha256(canonical_bytes(report)) == PINNED_VIOLATIONS[game]

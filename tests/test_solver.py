@@ -6,6 +6,7 @@ import random
 import pytest
 
 from dynkin import (
+    GameSpec,
     audit_iteration,
     canonicalize,
     cutoff_obstacle,
@@ -24,7 +25,13 @@ from dynkin import (
     step,
     verify_nash,
 )
-from helpers import audit_deviation_bound, chain_tree, expect_at, triple_game
+from helpers import (
+    audit_deviation_bound,
+    chain_tree,
+    expect_at,
+    relabeled_game,
+    triple_game,
+)
 
 
 def falling_chain_game():
@@ -162,6 +169,38 @@ def test_each_update_solves_its_one_sided_problem():
         obstacle = cutoff_obstacle(spec, rec.player, rec.theta)
         best = max(expect_at(spec.tree, obstacle, tau) for tau in times)
         assert abs(rec.root_value - best) <= 1e-12
+
+
+def _scaled(spec, scale):
+    def times(procs):
+        return tuple(tuple(v * scale for v in p) for p in procs)
+
+    return GameSpec(spec.tree, times(spec.X), times(spec.Q), times(spec.Y))
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**30, 1e9], ids=repr)
+def test_mu_before_the_cutoff_never_passes_the_old_stop(scale):
+    # Why the update can take mu wherever it stops strictly before the
+    # cutoff: there mu already stops no later than the player's previous
+    # stop, so the update is min(mu, old) on those paths.
+    rng = random.Random(10)
+    moved = 0
+    for seed in range(16):
+        spec = gen_game(2 + seed % 3, rng.randint(2, 4), rng.randint(2, 3),
+                        seed=seed, mode=("strict", "touching")[seed % 2])
+        if seed % 4 >= 2:
+            spec = relabeled_game(spec, random.Random(seed))
+        _, state = run(_scaled(spec, scale))
+        last = {}
+        for rec in state.trace:
+            old = last.get(rec.player, horizon_stop(spec.tree))
+            for m, t, o in zip(rec.mu.node_by_leaf, rec.theta.node_by_leaf,
+                               old.node_by_leaf):
+                if m < t:
+                    assert m <= o, (seed, rec.n)
+                    moved += m < o
+            last[rec.player] = rec.tau
+    assert moved
 
 
 def test_audit_accepts_clean_runs():

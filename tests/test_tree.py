@@ -96,6 +96,34 @@ def test_tree_rejects_nontopological_parent():
         ScenarioTree([None, 2, 0], [1.0, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("probs, bad", [
+    ([1.0, True], True),
+    ([True, 1.0], True),
+    ([1.0, "1"], "1"),
+    ([1.0, None], None),
+], ids=["bool_child", "bool_root", "string", "none"])
+def test_tree_rejects_cond_probs_that_are_not_numbers(probs, bad):
+    node = 0 if probs[0] is bad else 1
+    with pytest.raises(TreeError) as exc:
+        ScenarioTree([None, 0], probs)
+    assert str(exc.value) == f"node {node}: cond_prob {bad!r} not a number"
+
+
+@pytest.mark.parametrize("big", [10**400, -10**400],
+                         ids=["positive", "negative"])
+def test_tree_rounds_ints_beyond_float_range_to_infinity(big):
+    shown = "inf" if big > 0 else "-inf"
+    with pytest.raises(TreeError) as exc:
+        ScenarioTree([None, 0], [1.0, big])
+    assert str(exc.value) == f"node 1: cond_prob {shown} not in (0, 1]"
+
+
+def test_tree_takes_int_cond_probs_as_floats():
+    t = ScenarioTree([None, 0], [1, 1])
+    assert t.cond_probs == (1.0, 1.0)
+    assert all(type(p) is float for p in t.cond_probs)
+
+
 def test_node_prob():
     t = binary(2)
     assert t.prob[0] == 1.0

@@ -2,7 +2,9 @@
 checks, residual."""
 
 import dataclasses
+import math
 import random
+import sys
 
 import pytest
 
@@ -135,6 +137,22 @@ def test_oracle_matches_the_depth_reference():
             )
     # the argmax stops before, with and after the rivals
     assert seen == {-1, 0, 1}
+
+
+def test_oracle_scores_sums_beyond_float_range_as_payoff_does():
+    # The sibling probabilities sum to 1 + 1e-13, so a path-wide M sums
+    # beyond the float range, to infinity; payoff and oracle agree.
+    big = sys.float_info.max
+    tree = ScenarioTree(
+        [None, 0, 0], [1.0, 0.5000000000001, 0.4999999999999999]
+    )
+    spec = triple_game(tree, (big / 2,) * 3, (big,) * 3, (big,) * 3)
+    times = enumerate_stopping_times(tree)
+    for rival in times:
+        values = [payoff(spec, 0, [tau, rival]) for tau in times]
+        best, argmax = brute_force_best_response(spec, 0, [rival])
+        assert best == max(values) == payoff(spec, 0, [argmax, rival])
+    assert math.inf in values
 
 
 def test_best_response_dominates_every_insertion():
