@@ -8,6 +8,7 @@ failure, 5 enumeration cap hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -49,6 +50,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
+# Built once: parsing keeps no state, and help is formatted when printed.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dynkin",

@@ -46,7 +46,6 @@ class CertifiedRun:
     streamline: StreamlineCertificate
     residuals: tuple[float, ...]
     audit_violations: tuple[AuditViolation, ...]
-    tol: float
     residual_tol: float
     max_rounds: int
 
@@ -90,7 +89,6 @@ def solve_and_certify(
         streamline=streamline,
         residuals=residuals,
         audit_violations=violations,
-        tol=tol,
         residual_tol=residual_tol,
         max_rounds=(
             max_rounds if max_rounds is not None else default_round_bound(spec)

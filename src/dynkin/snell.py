@@ -1,13 +1,15 @@
 """Snell envelopes on scenario trees.
 
 The envelope of an obstacle process is the smallest supermartingale
-dominating it, computed by backward induction.  Alongside the envelope
-we return the earliest optimal stopping time: the first time, on each
-path, at which the obstacle matches the envelope.  The backward pass
-marks those nodes, and one cut pass (``tree._first_on_path``) over the
-marks gives its stop on each path.  Both come in a :class:`SnellResult`,
-which only this module exports.  Processes are any length-K float
-sequences indexed by node id; the envelope is a tuple.
+dominating it, computed by backward induction over ``tree.internal``
+(children first) from the leaves, where it equals the obstacle.
+Alongside the envelope we return the earliest optimal stopping time:
+the first time, on each path, at which the obstacle matches the
+envelope.  The backward pass marks those nodes, and one cut pass
+(``tree._first_on_path``) over the marks gives its stop on each path.
+Both come in a :class:`SnellResult`, which only this module exports.
+Processes are any length-K float sequences indexed by node id; the
+envelope is a tuple.
 """
 
 from __future__ import annotations
@@ -50,24 +52,17 @@ def snell_envelope(tree: ScenarioTree, obstacle: Sequence[float]) -> SnellResult
     _check_process(tree, obstacle)
     children = tree.children
     cond = tree.cond_probs
-    w = [0.0] * tree.n_nodes
-    hits = []
-    for v in range(tree.n_nodes - 1, -1, -1):
-        kids = children[v]
-        if not kids:
-            w[v] = obstacle[v]
-            hits.append(v)
-            continue
+    w = list(obstacle)
+    hits = list(tree.leaves)
+    for v in tree.internal:
         cont = 0.0
-        for c in kids:
+        for c in children[v]:
             cont += cond[c] * w[c]
-        u = obstacle[v]
-        if u >= cont - EQ_TOL:
-            w[v] = u
+        if obstacle[v] >= cont - EQ_TOL:
             hits.append(v)
         else:
             w[v] = cont
-    first = _first_on_path(tree, hits)  # every leaf is a hit
+    first = _first_on_path(tree, hits)
     return SnellResult(
         envelope=tuple(w),
         first_hit=StoppingTime(tree, [first[leaf] for leaf in tree.leaves]),

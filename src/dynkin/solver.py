@@ -41,8 +41,9 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SolverState:
-    """Stopping times after ``n`` player updates, one record per update;
-    every run starts from the horizon profile (:func:`init_state`)."""
+    """Stopping times after the update with flat index ``n``, one record
+    per update; every run starts from the horizon profile at ``n`` = N,
+    the number of players (:func:`init_state`), so the first is N + 1."""
 
     n: int
     current: tuple[StoppingTime, ...]

@@ -20,7 +20,8 @@ the smaller id, and two stops at one depth are the same node.  Stops
 are compared by id only; depths are derived where a caller asks.
 Node sets from outside (profile files, library callers) enter through
 :func:`canonicalize`; the envelope and the enumeration build per-leaf
-stops directly.
+stops directly.  Bottom-up passes start from the leaves and walk
+``tree.internal``, the internal ids in decreasing order: children first.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ class ScenarioTree:
     horizon:
         Optional declared horizon; checked against the tree if given.
         Every leaf must sit at this depth and it must be at least 1.
+
+    ``internal`` holds the internal node ids in decreasing order, every
+    child before its parent: the package's one bottom-up order.
     """
 
     __slots__ = (
@@ -77,6 +81,7 @@ class ScenarioTree:
         "depth",
         "children",
         "leaves",
+        "internal",
         "prob",
         "leaf_probs",
     )
@@ -161,6 +166,9 @@ class ScenarioTree:
         self.depth = tuple(depth)
         self.children = tuple(tuple(c) for c in kids)
         self.leaves = leaves
+        # ``parents[c[0]]`` is the node whose children are c, as an int
+        # object ``parents`` already holds: the tuple adds no int per node.
+        self.internal = tuple(parents[c[0]] for c in reversed(kids) if c)
         self.prob = tuple(prob)
         self.leaf_probs = tuple(prob[v] for v in leaves)
 
@@ -337,16 +345,12 @@ def leq(first: StoppingTime, second: StoppingTime) -> bool:
 
 def count_stopping_times(tree: ScenarioTree) -> int:
     """Number of canonical stopping times the tree admits."""
-    s = [0] * tree.n_nodes
-    for v in range(tree.n_nodes - 1, -1, -1):
-        kids = tree.children[v]
-        if not kids:
-            s[v] = 1
-        else:
-            prod = 1
-            for c in kids:
-                prod *= s[c]
-            s[v] = 1 + prod
+    s = [1] * tree.n_nodes
+    for v in tree.internal:
+        prod = 1
+        for c in tree.children[v]:
+            prod *= s[c]
+        s[v] = 1 + prod
     return s[0]
 
 
@@ -372,15 +376,12 @@ def _depth_first_stops(
         raise EnumerationCapError(total, cap)
 
     # Per node, its subtree's times as per-leaf stops over its leaves in
-    # depth-first order, built bottom-up (children have larger ids); a
+    # depth-first order, built over ``tree.internal`` from the leaves; a
     # child's list is dropped once its parent used it.  Children are
     # joined one at a time, in product order (last child fastest).
-    options: dict[int, list[tuple[int, ...]]] = {}
-    for v in range(tree.n_nodes - 1, -1, -1):
+    options = {leaf: [(leaf,)] for leaf in tree.leaves}
+    for v in tree.internal:
         kids = tree.children[v]
-        if not kids:
-            options[v] = [(v,)]
-            continue
         combos = options.pop(kids[0])
         for c in kids[1:]:
             more = options.pop(c)

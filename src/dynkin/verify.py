@@ -104,7 +104,6 @@ class PlayerCertificate:
     equilibrium_payoff: float
     best_response_value: float
     gap: float
-    best_response_time: StoppingTime
 
 
 @dataclass(frozen=True)
@@ -128,14 +127,13 @@ def verify_nash(
     for i in range(spec.n_players):
         j_i = payoff(spec, i, profile)
         others = tuple(t for j, t in enumerate(profile) if j != i)
-        value, argmax = best_response(spec, i, others)
+        value, _ = best_response(spec, i, others)
         entries.append(
             PlayerCertificate(
                 player=i,
                 equilibrium_payoff=j_i,
                 best_response_value=value,
                 gap=value - j_i,
-                best_response_time=argmax,
             )
         )
     is_nash = all(e.gap <= tol for e in entries)
@@ -217,10 +215,10 @@ def verify_streamline(
             for c in children[v]:
                 cont += cond[c] * w[c]
             u = w[v]
-            if before_joint and abs(u - cont) > tol:
+            if before_joint and not abs(u - cont) <= tol:
                 martingale_ok = False
             if before_cut:
-                if u < cont - tol:
+                if not u >= cont - tol:
                     supermartingale_ok = False
                 if not w[v] >= x[v] - tol:
                     dominance_ok = False
@@ -231,8 +229,8 @@ def verify_streamline(
         )
 
         # On the cut the obstacle holds the end payoff.
-        boundary_ok = not any(
-            abs(w[a] - obstacle[a]) > tol for a in r_i.node_by_leaf
+        boundary_ok = all(
+            abs(w[a] - obstacle[a]) <= tol for a in r_i.node_by_leaf
         )
         y = spec.Y[i]
         q = spec.Q[i]

@@ -7,7 +7,8 @@ fixed-depth stops, expectations at a stopping time, the one-step
 game document as a dict, the reference the game writer is checked
 against, and the depth-comparing pathwise minimum, order and
 brute-force best response the id-comparing package routes are checked
-against.
+against, and the leaf-branching envelope, stopping-time count and
+enumeration the kernels over ``tree.internal`` are checked against.
 """
 
 from __future__ import annotations
@@ -28,8 +29,14 @@ from dynkin import (
     horizon_stop,
 )
 from dynkin.game import _insertion_payoff, _rival_time, _tie_gap
-from dynkin.snell import EQ_TOL
-from dynkin.tree import DEFAULT_ENUM_CAP, _check_process, _check_stop
+from dynkin.snell import EQ_TOL, SnellResult
+from dynkin.tree import (
+    DEFAULT_ENUM_CAP,
+    EnumerationCapError,
+    _check_process,
+    _check_stop,
+    _first_on_path,
+)
 from dynkin.verify import BRUTE_TIE_TOL
 
 
@@ -291,3 +298,100 @@ def reference_best_response(
     best_val = max(val for val, _ in scored)
     winners = [tau for val, tau in scored if val >= best_val - BRUTE_TIE_TOL]
     return best_val, min_stop_by_depth(*winners)
+
+
+# References for the bottom-up kernels as they stood when each walked
+# every node id downward and branched on leaves; the kernels that walk
+# ``tree.internal`` are checked against them for identical values.
+
+def reference_snell_envelope(
+    tree: ScenarioTree, obstacle: Sequence[float]
+) -> SnellResult:
+    """Backward-induction envelope of ``obstacle`` with earliest hits.
+
+    At a leaf the envelope equals the obstacle.  At an internal node the
+    continuation value is the probability-weighted average of the
+    children's envelope values; when the obstacle is within ``EQ_TOL``
+    of matching the continuation the node counts as a hit and the
+    envelope takes the obstacle value exactly, otherwise the envelope
+    takes the continuation value.  ``root_value`` is the supremum of the
+    expected stopped obstacle over all stopping times, attained at
+    ``first_hit``.
+    """
+    _check_process(tree, obstacle)
+    children = tree.children
+    cond = tree.cond_probs
+    w = [0.0] * tree.n_nodes
+    hits = []
+    for v in range(tree.n_nodes - 1, -1, -1):
+        kids = children[v]
+        if not kids:
+            w[v] = obstacle[v]
+            hits.append(v)
+            continue
+        cont = 0.0
+        for c in kids:
+            cont += cond[c] * w[c]
+        u = obstacle[v]
+        if u >= cont - EQ_TOL:
+            w[v] = u
+            hits.append(v)
+        else:
+            w[v] = cont
+    first = _first_on_path(tree, hits)  # every leaf is a hit
+    return SnellResult(
+        envelope=tuple(w),
+        first_hit=StoppingTime(tree, [first[leaf] for leaf in tree.leaves]),
+        root_value=w[0],
+    )
+
+
+
+def reference_count_stopping_times(tree: ScenarioTree) -> int:
+    """Number of canonical stopping times the tree admits."""
+    s = [0] * tree.n_nodes
+    for v in range(tree.n_nodes - 1, -1, -1):
+        kids = tree.children[v]
+        if not kids:
+            s[v] = 1
+        else:
+            prod = 1
+            for c in kids:
+                prod *= s[c]
+            s[v] = 1 + prod
+    return s[0]
+
+
+def reference_depth_first_stops(
+    tree: ScenarioTree, cap: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Every canonical stopping time as raw per-leaf stops over the leaves
+    in depth-first order, in enumeration order, refusing above the cap;
+    and the positions that put such a tuple in ``tree.leaves`` order.
+    The last tuple stops at every leaf, so it lists the leaves
+    depth-first."""
+    total = reference_count_stopping_times(tree)
+    if total > cap:
+        raise EnumerationCapError(total, cap)
+
+    # Per node, its subtree's times as per-leaf stops over its leaves in
+    # depth-first order, built bottom-up (children have larger ids); a
+    # child's list is dropped once its parent used it.  Children are
+    # joined one at a time, in product order (last child fastest).
+    options: dict[int, list[tuple[int, ...]]] = {}
+    for v in range(tree.n_nodes - 1, -1, -1):
+        kids = tree.children[v]
+        if not kids:
+            options[v] = [(v,)]
+            continue
+        combos = options.pop(kids[0])
+        for c in kids[1:]:
+            more = options.pop(c)
+            combos = [a + b for a in combos for b in more]
+        # first, stop at v on every leaf below
+        options[v] = [(v,) * len(combos[0]), *combos]
+
+    # ``tree.leaves`` need not list the leaves depth-first.
+    stops = options[0]
+    where = {leaf: k for k, leaf in enumerate(stops[-1])}
+    return stops, [where[leaf] for leaf in tree.leaves]

@@ -233,11 +233,17 @@ def test_payoffs_near_float_range_end_without_a_traceback(tmp_path, capsys,
         code, err = _run(capsys, argv)
         assert code == want, (argv, err)
         assert "Error" not in err
-    players = json.loads(report.read_text())["equilibrium"]["players"]
+    doc = json.loads(report.read_text())
+    players = doc["equilibrium"]["players"]
     want_payoff = math.inf if solve_code else M
     assert [p["payoff"] for p in players] == [want_payoff] * 2
     gaps = [p["nash_gap"] for p in players]
     assert all(map(math.isnan, gaps)) if solve_code else gaps == [0.0] * 2
+    # inf - inf is NaN, and a NaN difference fails the witness checks
+    streamline = doc["certificates"]["streamline"]
+    assert streamline["passed"] is not bool(solve_code)
+    assert [c["martingale_ok"] for c in streamline["players"]] == (
+        [not solve_code] * 2)
 
 
 def _names_the_output(err: str, out: str) -> None:

@@ -19,7 +19,9 @@ from dynkin import (
     horizon_stop,
     leq,
     min_stop,
+    snell_envelope,
 )
+from dynkin.tree import _depth_first_stops
 from helpers import (
     chain_tree,
     depth_first_leaves,
@@ -28,6 +30,9 @@ from helpers import (
     leq_by_depth,
     min_stop_by_depth,
     random_tree,
+    reference_count_stopping_times,
+    reference_depth_first_stops,
+    reference_snell_envelope,
     relabel,
 )
 
@@ -67,6 +72,7 @@ def test_tree_shape_binary_depth_2():
     assert t.n_nodes == 7
     assert t.horizon == 2
     assert t.leaves == (3, 4, 5, 6)
+    assert t.internal == (2, 1, 0)
     assert t.children[0] == (1, 2)
     assert t.depth == (0, 1, 1, 2, 2, 2, 2)
 
@@ -406,3 +412,64 @@ def test_comparing_by_id_matches_comparing_by_depth(case):
         for b in taus:
             assert min_stop(a, b) == min_stop_by_depth(a, b)
             assert leq(a, b) == leq_by_depth(a, b)
+
+
+@st.composite
+def kernel_trees(draw):
+    """A tree from ``trees()``, a chain, or a tree whose nodes have one
+    to five children; renumbered in a random topological order half the
+    time."""
+    kind = draw(st.sampled_from(["drawn", "chain", "uneven"]))
+    if kind == "chain":
+        tree = chain_tree(draw(st.integers(min_value=1, max_value=40)))
+    elif kind == "uneven":
+        rng = random.Random(draw(st.integers(0, 10 ** 6)))
+        tree = random_tree(rng, depth=rng.randint(1, 3), max_branch=5)
+    else:
+        tree = draw(trees())
+    if draw(st.booleans()):
+        tree = relabel(tree, random.Random(draw(st.integers(0, 10 ** 6))))[0]
+    return tree
+
+
+# The kernels over ``tree.internal`` against the leaf-branching versions
+# kept in helpers: identical envelopes (compared bit for bit), hits, root
+# values, counts and enumeration orders.
+@settings(max_examples=150, deadline=None)
+@given(kernel_trees(), st.integers(0, 10 ** 6))
+def test_kernels_over_internal_match_the_references(tree, seed):
+    # each internal node once, no leaf, every child before its parent
+    internal = tree.internal
+    at = {v: k for k, v in enumerate(internal)}
+    assert len(at) == len(internal)
+    assert len(internal) + len(tree.leaves) == tree.n_nodes
+    assert at.keys().isdisjoint(tree.leaves)
+    for v in internal:
+        assert all(at.get(c, -1) < at[v] for c in tree.children[v])
+
+    rng = random.Random(seed)
+    raw = [rng.uniform(-1.0, 1.0) for _ in range(tree.n_nodes)]
+    obstacles = [
+        raw,
+        [raw[0]] * tree.n_nodes,  # a tie within EQ_TOL at every node
+        [x * 2.0 ** -40 for x in raw],
+        [x * 2.0 ** 30 for x in raw],
+    ]
+    for obstacle in obstacles:
+        got = snell_envelope(tree, obstacle)
+        want = reference_snell_envelope(tree, obstacle)
+        assert list(map(float.hex, got.envelope)) == list(
+            map(float.hex, want.envelope))
+        assert got.first_hit == want.first_hit
+        assert got.root_value.hex() == want.root_value.hex()
+
+    assert count_stopping_times(tree) == reference_count_stopping_times(tree)
+    cap = 3000
+    try:
+        want = reference_depth_first_stops(tree, cap)
+    except EnumerationCapError as exc:
+        with pytest.raises(EnumerationCapError) as got:
+            _depth_first_stops(tree, cap)
+        assert got.value.count == exc.count
+    else:
+        assert _depth_first_stops(tree, cap) == want
