@@ -7,8 +7,10 @@ first, ``Q[i]`` the value when the player stops simultaneously with the
 earliest opponent, and ``Y[i]`` the value when some opponent stops
 strictly first.  The standing order assumption is ``X <= Q <= Y``
 nodewise; a second assumption constrains where ``Q`` may touch ``Y``
-before the horizon.  One routine builds a player's obstacle against an
-opponents' cutoff: for the solver, :func:`cutoff_obstacle` and the witness.
+before the horizon.  One cut pass and one freeze pass build a player's
+obstacle against an opponents' cutoff: over the whole tree for
+:func:`cutoff_obstacle` and the witness, over the root paths whose
+cutoff stop moved for the solver's updates.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Sequence
 
 from .tree import (
     ScenarioTree,
     StoppingTime,
     _check_stop,
-    _first_on_path,
+    _marks,
     _number,
     min_stop,
 )
@@ -152,29 +155,51 @@ def validate_assumptions(
     nodes only: whenever some player's Q sits strictly below their Y
     (tested as ``Y - Q > strict_tol``), every player's X must sit
     strictly below their Y (tested as ``Y - X > strict_tol``).
+    Violations come in node order, then player order (order), or
+    trigger then blocker order (touching rule).  Both checks compare
+    whole per-player arrays.
     """
     tree = spec.tree
-    a3 = []
-    a4 = []
-    n = spec.n_players
-    for v in range(tree.n_nodes):
-        for i in range(n):
-            x, q, y = spec.X[i][v], spec.Q[i][v], spec.Y[i][v]
-            if x > q or q > y:
-                a3.append(A3Violation(i, v, x, q, y))
-        if tree.is_leaf(v):
-            continue
-        triggers = [
-            i for i in range(n) if spec.Y[i][v] - spec.Q[i][v] > strict_tol
-        ]
-        if not triggers:
-            continue
-        blockers = [
-            j for j in range(n)
-            if not spec.Y[j][v] - spec.X[j][v] > strict_tol
-        ]
-        a4.extend(A4Violation(v, i, j) for i in triggers for j in blockers)
+    players = range(spec.n_players)
+    gt = operator.gt
+    X, Q, Y = spec.X, spec.Q, spec.Y
+
+    disorder = sorted(
+        (v, i)
+        for i in players
+        for v in compress(
+            range(tree.n_nodes),
+            map(operator.or_, map(gt, X[i], Q[i]), map(gt, Q[i], Y[i])),
+        )
+    )
+    a3 = [A3Violation(i, v, X[i][v], Q[i][v], Y[i][v]) for v, i in disorder]
+
+    # Blockers are rare, so triggers are only tested where one occurs.
+    tol = repeat(strict_tol)
+    blockers = [
+        bytes(map(operator.not_, map(gt, map(operator.sub, Y[j], X[j]), tol)))
+        for j in players
+    ]
+    some_blocker = _any_of(blockers)
+    a4 = [
+        A4Violation(v, i, j)
+        for v in reversed(tree.internal)
+        if some_blocker[v]
+        for i in players
+        if Y[i][v] - Q[i][v] > strict_tol
+        for j in players
+        if blockers[j][v]
+    ]
     return AssumptionReport(tuple(a3), tuple(a4), strict_tol)
+
+
+def _any_of(masks: Sequence[bytes]) -> bytes:
+    """Per node, 1 where any of the per-node 0/1 masks is set: OR-ing
+    the masks as integers ORs them byte by byte."""
+    bits = 0
+    for m in masks:
+        bits |= int.from_bytes(m, "little")
+    return bits.to_bytes(len(masks[0]), "little")
 
 
 def end_payoff(spec: GameSpec, player: int) -> tuple[float, ...]:
@@ -193,16 +218,17 @@ def cutoff_obstacle(
     """Obstacle for the player's one-sided problem given an opponents'
     cutoff: X strictly before the cutoff, then the end payoff taken at
     the cutoff node and frozen along the rest of each path."""
-    return _cut_obstacle(spec, player, cutoff)[1]
+    return tuple(_cut_obstacle(spec, player, cutoff)[1])
 
 
 def _cut_obstacle(spec, player, cutoff):
-    """The cutoff's cut (``_first_on_path`` output) and the obstacle; the
-    one builder, for the solver, the witness and :func:`cutoff_obstacle`."""
+    """The cutoff's cut and the obstacle over the whole tree, for the
+    witness and :func:`cutoff_obstacle`; the solver's updates run the
+    same pass over the root paths whose cutoff stop moved."""
     _check_stop(spec.tree, cutoff)
     ep = end_payoff(spec, player)
-    cut = _first_on_path(spec.tree, cutoff.node_by_leaf)
-    return cut, _freeze(spec.X[player], ep, ep, cut)
+    marked = _marks(spec.tree, cutoff.node_by_leaf)
+    return _freeze(spec.tree, marked, spec.X[player], ep, ep)
 
 
 def best_response_process(
@@ -216,21 +242,43 @@ def best_response_process(
     each path.
     """
     rival = _rival_time(spec, player, others)
-    cut = _first_on_path(spec.tree, rival.node_by_leaf)
-    return _freeze(spec.X[player], spec.Q[player], spec.Y[player], cut)
+    marked = _marks(spec.tree, rival.node_by_leaf)
+    return tuple(_freeze(
+        spec.tree, marked, spec.X[player], spec.Q[player], spec.Y[player]
+    )[1])
 
 
-def _freeze(x, at, below, cut: Sequence[int]) -> tuple[float, ...]:
-    """``x`` strictly before the cut (``_first_on_path`` output), ``at``
-    on the cut node, and the cut node's ``below`` value frozen on the
-    rest of each path."""
-    out = list(x)
-    for v, a in enumerate(cut):
-        if a == v:
-            out[v] = at[v]
-        elif a >= 0:
+def _freeze(tree, marked, x, at, below, nodes=None, cut=None, out=None):
+    """The cut of the ``marked`` nodes and the frozen process, in one
+    top-down walk.
+
+    The cut is what ``_first_on_path`` gives for ``marked``: per node,
+    the first marked node on its root path, or -1.  The process is ``x``
+    strictly before the cut, ``at`` on the cut node, and the cut node's
+    ``below`` value frozen on the rest of each path.  A full pass
+    (``nodes`` None) fills new lists; otherwise only ``nodes`` are
+    recomputed, in the order given, into ``cut`` and ``out``: each from
+    its parent's cut, so a parent must come before its child or hold its
+    final cut already.
+    """
+    if nodes is None:
+        nodes = range(tree.n_nodes)
+        cut = [-1] * tree.n_nodes
+        out = [0.0] * tree.n_nodes
+    parents = tree.parents
+    for v in nodes:
+        p = parents[v]
+        a = -1 if p is None else cut[p]
+        if a >= 0:
+            cut[v] = a
             out[v] = below[a]
-    return tuple(out)
+        elif marked[v]:
+            cut[v] = v
+            out[v] = at[v]
+        else:
+            cut[v] = -1
+            out[v] = x[v]
+    return cut, out
 
 
 def payoff(

@@ -9,7 +9,9 @@ envelope.  The backward pass marks those nodes, and one cut pass
 (``tree._first_on_path``) over the marks gives its stop on each path.
 Both come in a :class:`SnellResult`, which only this module exports.
 Processes are any length-K float sequences indexed by node id; the
-envelope is a tuple.
+envelope is a tuple.  The backward step (``_backward``) takes a node
+list: a full pass walks ``tree.internal``, the solver's updates only
+the root paths whose cutoff stop moved.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .tree import (
     StoppingTime,
     _check_process,
     _first_on_path,
+    _marks,
 )
 
 EQ_TOL = 1e-9
@@ -50,21 +53,31 @@ def snell_envelope(tree: ScenarioTree, obstacle: Sequence[float]) -> SnellResult
     ``first_hit``.
     """
     _check_process(tree, obstacle)
+    w = list(obstacle)
+    hit = _marks(tree, tree.leaves)
+    _backward(tree, obstacle, w, hit, tree.internal)
+    first = _first_on_path(tree, hit)
+    return SnellResult(
+        envelope=tuple(w),
+        first_hit=StoppingTime(tree, map(first.__getitem__, tree.leaves)),
+        root_value=w[0],
+    )
+
+
+def _backward(tree, obstacle, w, hit, nodes) -> None:
+    """Envelope values ``w`` and hit flags ``hit`` at ``nodes``, internal
+    ids in an order that puts every child first, from the children's
+    entries of ``w``; the one backward-induction step."""
     children = tree.children
     cond = tree.cond_probs
-    w = list(obstacle)
-    hits = list(tree.leaves)
-    for v in tree.internal:
+    for v in nodes:
         cont = 0.0
         for c in children[v]:
             cont += cond[c] * w[c]
-        if obstacle[v] >= cont - EQ_TOL:
-            hits.append(v)
+        u = obstacle[v]
+        if u >= cont - EQ_TOL:
+            hit[v] = 1
+            w[v] = u
         else:
+            hit[v] = 0
             w[v] = cont
-    first = _first_on_path(tree, hits)
-    return SnellResult(
-        envelope=tuple(w),
-        first_hit=StoppingTime(tree, [first[leaf] for leaf in tree.leaves]),
-        root_value=w[0],
-    )

@@ -2,23 +2,46 @@
 
 Players start at the horizon and are updated one at a time in a round-
 robin.  On a player's turn the opponents' latest stopping times are
-merged into a cutoff, the player's obstacle against it is built (by
-:func:`~dynkin.game.cutoff_obstacle`'s routine), its Snell envelope and
-earliest optimal stop are computed, and the player's stopping time
-shrinks accordingly: on paths where stopping early (but still before
-the cutoff) is optimal the stop moves up, elsewhere it stays.  The
-per-player stopping times are non-increasing along the iteration, so
-the process reaches a fixed point, the returned equilibrium candidate.
+merged into a cutoff, the player's obstacle against it is built (the
+cut and freeze passes :func:`~dynkin.game.cutoff_obstacle` runs), its
+Snell envelope and earliest optimal stop are computed, and the
+player's stopping time shrinks accordingly: on paths where stopping
+early (but still before the cutoff) is optimal the stop moves up,
+elsewhere it stays.  The per-player stopping times are non-increasing
+along the iteration, so the process reaches a fixed point, the
+returned equilibrium candidate.
+
+Inside :func:`run` each player keeps a cache from one of its updates to
+the next: its last record and, per node, its end payoff, envelope, hit
+flags, first hits and flat-check gaps.  An update recomputes only the
+root paths of the leaves whose cutoff stop moved (``_update``), with
+the arithmetic of a full pass, so its record is bit for bit the full
+recomputation's.  A cutoff equal to the player's previous one is a
+no-op: the update rule ``m if m < t else o`` is idempotent for a fixed
+earliest optimal stop and cutoff, so the player's previous record
+repeats.  A player's first update, and every direct :func:`step` call,
+starts from an empty cache, where every node counts as moved.  The
+caches are dropped when ``run`` returns; the audit and the certifiers
+work from the records and the game alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Optional, Sequence
 
-from .game import GameSpec, _cut_obstacle
-from .snell import EQ_TOL, snell_envelope
-from .tree import StoppingTime, horizon_stop, leq, min_stop
+from .game import GameSpec, _freeze, end_payoff
+from .snell import EQ_TOL, _backward
+from .tree import (
+    StoppingTime,
+    _first_on_path,
+    _marks,
+    horizon_stop,
+    leq,
+    min_stop,
+)
 
 
 @dataclass(frozen=True)
@@ -88,56 +111,164 @@ def init_state(spec: GameSpec) -> SolverState:
     return SolverState(n=n, current=(horizon_stop(spec.tree),) * n, trace=())
 
 
+@dataclass(frozen=True)
+class _RunState(SolverState):
+    """A state inside :func:`run`, carrying each player's :class:`_Cache`
+    from one update to the next; it never leaves ``run``."""
+
+    caches: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+class _Cache:
+    """One player's last update: its record and, per node, the end
+    payoff, and the envelope, hit flags, first hits and flat-check gaps
+    against the record's cutoff.  Empty (``record`` None) before the
+    player's first update."""
+
+    __slots__ = ("record", "ep", "w", "hit", "first", "gaps")
+
+    def __init__(self):
+        self.record = None
+
+
 def step(state: SolverState, spec: GameSpec) -> SolverState:
     """Advance the iteration by one player update."""
     tree = spec.tree
     n_next = state.n + 1
     player = state.n % spec.n_players
     theta = min_stop(*(t for j, t in enumerate(state.current) if j != player))
-    # One cut walk feeds the obstacle and the flat check.
-    cut, obstacle = _cut_obstacle(spec, player, theta)
-    res = snell_envelope(tree, obstacle)
-    mu = res.first_hit
     old = state.current[player]
+    caches = state.caches if isinstance(state, _RunState) else {}
+    cache = caches.setdefault(player, _Cache())
+    prev = cache.record
 
-    # From the cutoff on, the envelope must equal the frozen obstacle.
-    w = res.envelope
-    flat_gap, flat_node = -1.0, -1
-    for v, a in enumerate(cut):
-        if a >= 0:
-            gap = abs(w[v] - obstacle[v])
-            if gap > flat_gap:
-                flat_gap, flat_node = gap, v
-
-    # Pathwise update: mu where it stops strictly before the cutoff, else
-    # the old stop; the result stays canonical.  Where mu stops before the
-    # cutoff it never passes the old stop, so this is min(mu, old) there.
-    # Ids grow along a path, so comparing stops is comparing ids.
-    chosen = [
-        m if m < t else o
-        for m, o, t in zip(
-            mu.node_by_leaf, old.node_by_leaf, theta.node_by_leaf
+    if prev is not None and prev.tau is old and prev.theta == theta:
+        # The same cutoff gives the same mu, and the update rule is
+        # idempotent for fixed mu and cutoff: nothing moves.
+        record = replace(prev, n=n_next)
+    else:
+        mu, root_value, flat_gap, flat_node = _update(
+            spec, player, theta, cache
         )
-    ]
-    tau_new = StoppingTime(tree, chosen)
-
-    record = TraceRecord(
-        n=n_next,
-        player=player,
-        theta=theta,
-        mu=mu,
-        tau=tau_new,
-        root_value=res.root_value,
-        flat_gap=flat_gap,
-        flat_node=flat_node,
-    )
+        # Pathwise update: mu where it stops strictly before the cutoff,
+        # else the old stop; the result stays canonical.  Where mu stops
+        # before the cutoff it never passes the old stop, so this is
+        # min(mu, old) there.  Ids grow along a path, so comparing stops
+        # is comparing ids.
+        chosen = [
+            m if m < t else o
+            for m, o, t in zip(
+                mu.node_by_leaf, old.node_by_leaf, theta.node_by_leaf
+            )
+        ]
+        record = TraceRecord(
+            n=n_next,
+            player=player,
+            theta=theta,
+            mu=mu,
+            tau=StoppingTime(tree, chosen),
+            root_value=root_value,
+            flat_gap=flat_gap,
+            flat_node=flat_node,
+        )
+    cache.record = record
     current = list(state.current)
-    current[player] = tau_new
-    return SolverState(
-        n=n_next,
-        current=tuple(current),
-        trace=state.trace + (record,),
+    current[player] = record.tau
+    # ``replace`` keeps the state's class, and a run's caches with it.
+    return replace(
+        state, n=n_next, current=tuple(current), trace=state.trace + (record,)
     )
+
+
+def _update(spec: GameSpec, player: int, theta: StoppingTime, cache: _Cache):
+    """Bring the player's cache from its last cutoff to ``theta``; return
+    the earliest optimal stop, the root value, and the flat check's
+    largest |envelope - obstacle| at or after the cutoff with the first
+    node where it occurs (a NaN gap never counts).
+
+    Only the root paths of the leaves whose cutoff stop moved are
+    recomputed, in the same order and with the same arithmetic as a full
+    pass: the cut and the obstacle top-down, the envelope and the hit
+    flags bottom-up, then first hits top-down and below every node off
+    those paths whose parent's first hit moved.  An empty cache counts
+    every leaf as moved.  Cutoffs are canonical, so a node off the moved
+    paths keeps its cut, and a node on them is a stop only of moved
+    leaves.
+    """
+    tree = spec.tree
+    n = tree.n_nodes
+    if cache.record is None:
+        cache.ep = end_payoff(spec, player)
+        cache.w = [0.0] * n
+        cache.hit = _marks(tree, tree.leaves)  # every leaf is a hit
+        cache.first = [-1] * n
+        # A leaf is at or after every cutoff, and its envelope is its
+        # obstacle, which is finite: its gap is 0.0 for good.
+        cache.gaps = [0.0] * n
+        leaves, stops = tree.leaves, theta.node_by_leaf
+    else:
+        moved = list(map(
+            operator.ne, cache.record.theta.node_by_leaf, theta.node_by_leaf
+        ))
+        leaves = list(compress(tree.leaves, moved))
+        stops = list(compress(theta.node_by_leaf, moved))
+    if len(leaves) == len(tree.leaves):  # every root path: every node
+        internal, hanging = tree.internal, ()
+    else:
+        internal, hanging = _root_paths(tree, leaves)
+    down = [*reversed(internal), *leaves]  # every parent first
+
+    # The envelope is built in place over the obstacle: the backward step
+    # reads a node's obstacle before it writes the node's envelope.
+    w, hit, first, gaps = cache.w, cache.hit, cache.first, cache.gaps
+    ep = cache.ep
+    cut, _ = _freeze(
+        tree, _marks(tree, stops), spec.X[player], ep, ep, down, [-1] * n, w
+    )
+    _backward(tree, w, w, hit, internal)
+
+    _first_on_path(tree, hit, down, first)
+    parents, children = tree.parents, tree.children
+    for c in hanging:  # off the paths, so its hit flag has not moved
+        a = first[parents[c]]
+        if (a if a >= 0 else c if hit[c] else -1) != first[c]:
+            below = [c]  # the whole subtree inherits the change
+            for u in below:
+                below += children[u]
+            _first_on_path(tree, hit, below, first)
+
+    # At and after the cutoff the obstacle is the cut node's end payoff,
+    # and at a hit the envelope is the obstacle.
+    for v in internal:
+        a = cut[v]
+        if a < 0:
+            gaps[v] = -1.0
+        elif hit[v]:
+            gaps[v] = 0.0
+        else:
+            gap = abs(w[v] - ep[a])
+            gaps[v] = gap if gap >= 0.0 else -1.0
+    flat_gap = max(gaps)  # every leaf counts, with gap 0.0
+    mu = StoppingTime(tree, map(first.__getitem__, tree.leaves))
+    return mu, w[0], flat_gap, gaps.index(flat_gap)
+
+
+def _root_paths(tree, leaves):
+    """The internal nodes on the root paths of ``leaves``, children
+    first, and the nodes off those paths whose parent is on one."""
+    parents = tree.parents
+    on = bytearray(tree.n_nodes)
+    internal = []
+    for leaf in leaves:
+        on[leaf] = 1
+        v = parents[leaf]
+        while v is not None and not on[v]:
+            on[v] = 1
+            internal.append(v)
+            v = parents[v]
+    internal.sort(reverse=True)
+    children = tree.children
+    return internal, [c for v in internal for c in children[v] if not on[c]]
 
 
 def default_round_bound(spec: GameSpec) -> int:
@@ -155,7 +286,8 @@ def run(
     """
     if max_rounds is None:
         max_rounds = default_round_bound(spec)
-    state = init_state(spec)
+    start = init_state(spec)
+    state = _RunState(start.n, start.current, start.trace)
 
     converged = False
     rounds_used = 0
@@ -170,7 +302,8 @@ def run(
     candidate = make_candidate(
         state.current, rounds_used=rounds_used, converged=converged
     )
-    return candidate, state
+    # The caches go with the run's own state.
+    return candidate, SolverState(state.n, state.current, state.trace)
 
 
 @dataclass(frozen=True)

@@ -122,8 +122,10 @@ class ScenarioTree:
         if abs(probs[0] - 1.0) > PROB_TOL:
             raise TreeError(f"root cond_prob must be 1, got {probs[0]!r}")
 
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for v in range(1, n):
+        # One int object per id, shared by ``children`` and ``leaves``.
+        ids = list(range(n))
+        kids: list[list[int]] = [[] for _ in ids]
+        for v in ids[1:]:
             kids[parents[v]].append(v)
         for v in range(n):
             if kids[v]:
@@ -141,7 +143,7 @@ class ScenarioTree:
             depth[v] = depth[p] + 1
             prob[v] = prob[p] * probs[v]
 
-        leaves = tuple(v for v in range(n) if not kids[v])
+        leaves = tuple(v for v in ids if not kids[v])
         m = depth[leaves[0]]
         for v in leaves:
             if depth[v] != m:
@@ -279,22 +281,41 @@ def _check_stop(tree: ScenarioTree, tau: StoppingTime) -> None:
         raise TreeError("stopping time lives on a different tree")
 
 
-def _first_on_path(tree: ScenarioTree, stops: Iterable[int]) -> list[int]:
-    """Per node, the first node of ``stops`` on its root path (the node
-    itself included), or -1 where the path has not met ``stops`` yet."""
+def _marks(tree: ScenarioTree, stops: Iterable[int]) -> bytearray:
+    """One flag per node, set on the nodes of ``stops``."""
     marked = bytearray(tree.n_nodes)
     for v in stops:
         marked[v] = 1
-    first = [-1] * tree.n_nodes
-    if marked[0]:
-        first[0] = 0
+    return marked
+
+
+def _first_on_path(
+    tree: ScenarioTree,
+    marked: Sequence[int],
+    nodes: Optional[Iterable[int]] = None,
+    first: Optional[list[int]] = None,
+) -> list[int]:
+    """Per node, the first marked node on its root path (the node itself
+    included), or -1 where the path has not met a mark yet.
+
+    ``marked`` holds one flag per node.  A full pass (``nodes`` None)
+    fills a new list.  Otherwise only ``nodes`` are recomputed, in the
+    order given, into ``first``: each from its parent's entry, so a
+    parent must come before its child or hold its final entry already.
+    """
+    if nodes is None:
+        nodes = range(tree.n_nodes)
+        first = [-1] * tree.n_nodes
     parents = tree.parents
-    for v in range(1, tree.n_nodes):
-        inherited = first[parents[v]]
+    for v in nodes:
+        p = parents[v]
+        inherited = -1 if p is None else first[p]
         if inherited >= 0:
             first[v] = inherited
         elif marked[v]:
             first[v] = v
+        else:
+            first[v] = -1
     return first
 
 
@@ -310,7 +331,7 @@ def canonicalize(raw_stop_nodes: Iterable[int], tree: ScenarioTree) -> StoppingT
     for v in raw:
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
             raise TreeError(f"unknown node id {v!r} in stop set")
-    first = _first_on_path(tree, raw)
+    first = _first_on_path(tree, _marks(tree, raw))
     node_by_leaf = tuple(
         first[leaf] if first[leaf] >= 0 else leaf for leaf in tree.leaves
     )

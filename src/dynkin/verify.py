@@ -39,6 +39,7 @@ from .tree import (
     _check_stop,
     _depth_first_stops,
     _first_on_path,
+    _marks,
     min_stop,
     DEFAULT_ENUM_CAP,
 )
@@ -71,7 +72,7 @@ def brute_force_best_response(
     """
     tree = spec.tree
     rival = _rival_time(spec, player, others)
-    first = _first_on_path(tree, rival.node_by_leaf)
+    first = _first_on_path(tree, _marks(tree, rival.node_by_leaf))
     stops, order = _depth_first_stops(tree, cap)
     parents = tree.parents
     tables = []
@@ -195,7 +196,7 @@ def verify_streamline(
     cond = tree.cond_probs
     for tau in (candidate.R_star, *candidate.T_star, *candidate.R_star_i):
         _check_stop(tree, tau)
-    joint = _first_on_path(tree, candidate.R_star.node_by_leaf)
+    joint = _first_on_path(tree, _marks(tree, candidate.R_star.node_by_leaf))
     checks = []
     for i in range(spec.n_players):
         t_i = candidate.T_star[i]

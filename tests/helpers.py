@@ -8,7 +8,10 @@ game document as a dict, the reference the game writer is checked
 against, and the depth-comparing pathwise minimum, order and
 brute-force best response the id-comparing package routes are checked
 against, and the leaf-branching envelope, stopping-time count and
-enumeration the kernels over ``tree.internal`` are checked against.
+enumeration the kernels over ``tree.internal`` are checked against,
+the full-recomputation solver update and run the cached solver is
+checked against, and the node-by-node assumption check the whole-array
+one is checked against.
 """
 
 from __future__ import annotations
@@ -18,24 +21,36 @@ import random
 from typing import Sequence
 
 from dynkin import (
+    AssumptionReport,
     AuditViolation,
     GameSpec,
     ScenarioTree,
     SolverState,
     StoppingTime,
+    TraceRecord,
     TreeError,
     canonicalize,
+    default_round_bound,
+    end_payoff,
     enumerate_stopping_times,
     horizon_stop,
+    init_state,
+    make_candidate,
+    min_stop,
 )
-from dynkin.game import _insertion_payoff, _rival_time, _tie_gap
+from dynkin.game import (
+    A3Violation,
+    A4Violation,
+    _insertion_payoff,
+    _rival_time,
+    _tie_gap,
+)
 from dynkin.snell import EQ_TOL, SnellResult
 from dynkin.tree import (
     DEFAULT_ENUM_CAP,
     EnumerationCapError,
     _check_process,
     _check_stop,
-    _first_on_path,
 )
 from dynkin.verify import BRUTE_TIE_TOL
 
@@ -338,7 +353,7 @@ def reference_snell_envelope(
             hits.append(v)
         else:
             w[v] = cont
-    first = _first_on_path(tree, hits)  # every leaf is a hit
+    first = reference_first_on_path(tree, hits)  # every leaf is a hit
     return SnellResult(
         envelope=tuple(w),
         first_hit=StoppingTime(tree, [first[leaf] for leaf in tree.leaves]),
@@ -395,3 +410,140 @@ def reference_depth_first_stops(
     stops = options[0]
     where = {leaf: k for k, leaf in enumerate(stops[-1])}
     return stops, [where[leaf] for leaf in tree.leaves]
+
+
+def reference_first_on_path(tree: ScenarioTree, stops) -> list[int]:
+    """Per node, the first node of ``stops`` on its root path (the node
+    itself included), or -1 where the path has not met ``stops`` yet."""
+    marked = bytearray(tree.n_nodes)
+    for v in stops:
+        marked[v] = 1
+    first = [-1] * tree.n_nodes
+    if marked[0]:
+        first[0] = 0
+    parents = tree.parents
+    for v in range(1, tree.n_nodes):
+        inherited = first[parents[v]]
+        if inherited >= 0:
+            first[v] = inherited
+        elif marked[v]:
+            first[v] = v
+    return first
+
+
+def reference_cut_obstacle(spec: GameSpec, player: int, cutoff: StoppingTime):
+    """The cutoff's cut (``reference_first_on_path`` output) and the
+    player's obstacle: X strictly before the cut, the end payoff on the
+    cut node, frozen along the rest of each path."""
+    ep = end_payoff(spec, player)
+    cut = reference_first_on_path(spec.tree, cutoff.node_by_leaf)
+    out = list(spec.X[player])
+    for v, a in enumerate(cut):
+        if a == v:
+            out[v] = ep[v]
+        elif a >= 0:
+            out[v] = ep[a]
+    return cut, tuple(out)
+
+
+# The solver's update and run as they stood when every update rebuilt
+# the cut, the obstacle, the envelope and the flat check over the whole
+# tree; the cached solver must reproduce every record they give.
+
+def reference_step(state: SolverState, spec: GameSpec) -> SolverState:
+    """Advance the iteration by one player update."""
+    tree = spec.tree
+    n_next = state.n + 1
+    player = state.n % spec.n_players
+    theta = min_stop(*(t for j, t in enumerate(state.current) if j != player))
+    cut, obstacle = reference_cut_obstacle(spec, player, theta)
+    res = reference_snell_envelope(tree, obstacle)
+    mu = res.first_hit
+    old = state.current[player]
+
+    # From the cutoff on, the envelope must equal the frozen obstacle.
+    w = res.envelope
+    flat_gap, flat_node = -1.0, -1
+    for v, a in enumerate(cut):
+        if a >= 0:
+            gap = abs(w[v] - obstacle[v])
+            if gap > flat_gap:
+                flat_gap, flat_node = gap, v
+
+    chosen = [
+        m if m < t else o
+        for m, o, t in zip(
+            mu.node_by_leaf, old.node_by_leaf, theta.node_by_leaf
+        )
+    ]
+    tau_new = StoppingTime(tree, chosen)
+
+    record = TraceRecord(
+        n=n_next,
+        player=player,
+        theta=theta,
+        mu=mu,
+        tau=tau_new,
+        root_value=res.root_value,
+        flat_gap=flat_gap,
+        flat_node=flat_node,
+    )
+    current = list(state.current)
+    current[player] = tau_new
+    return SolverState(
+        n=n_next,
+        current=tuple(current),
+        trace=state.trace + (record,),
+    )
+
+
+def reference_run(spec: GameSpec, max_rounds=None):
+    """Iterate full rounds of ``reference_step`` until a round changes
+    nothing; the candidate and the final state."""
+    if max_rounds is None:
+        max_rounds = default_round_bound(spec)
+    state = init_state(spec)
+
+    converged = False
+    rounds_used = 0
+    for _ in range(max_rounds):
+        before = state.current
+        for _ in range(spec.n_players):
+            state = reference_step(state, spec)
+        rounds_used += 1
+        if before == state.current:
+            converged = True
+            break
+    candidate = make_candidate(
+        state.current, rounds_used=rounds_used, converged=converged
+    )
+    return candidate, state
+
+
+def reference_validate_assumptions(
+    spec: GameSpec, strict_tol: float = 0.0
+) -> AssumptionReport:
+    """The order and touching-rule checks node by node, player by
+    player."""
+    tree = spec.tree
+    a3 = []
+    a4 = []
+    n = spec.n_players
+    for v in range(tree.n_nodes):
+        for i in range(n):
+            x, q, y = spec.X[i][v], spec.Q[i][v], spec.Y[i][v]
+            if x > q or q > y:
+                a3.append(A3Violation(i, v, x, q, y))
+        if tree.is_leaf(v):
+            continue
+        triggers = [
+            i for i in range(n) if spec.Y[i][v] - spec.Q[i][v] > strict_tol
+        ]
+        if not triggers:
+            continue
+        blockers = [
+            j for j in range(n)
+            if not spec.Y[j][v] - spec.X[j][v] > strict_tol
+        ]
+        a4.extend(A4Violation(v, i, j) for i in triggers for j in blockers)
+    return AssumptionReport(tuple(a3), tuple(a4), strict_tol)

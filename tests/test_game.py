@@ -1,6 +1,7 @@
 """Game data model, assumption checks, payoff semantics."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -20,7 +21,15 @@ from dynkin import (
     payoff,
     validate_assumptions,
 )
-from helpers import chain_tree, depth_stop, expect_at, triple_game
+from helpers import (
+    chain_tree,
+    depth_stop,
+    expect_at,
+    random_tree,
+    reference_validate_assumptions,
+    relabeled_game,
+    triple_game,
+)
 
 
 def test_spec_rejects_single_player():
@@ -148,6 +157,36 @@ def test_strict_tol_loosens_the_trigger():
     spec = GameSpec(t, x, q, y)
     assert not validate_assumptions(spec, strict_tol=0.0).passed
     assert validate_assumptions(spec, strict_tol=1e-9).passed
+
+
+@pytest.mark.parametrize("strict_tol", [0.0, 0.05, -0.05, math.nan], ids=repr)
+def test_whole_array_checks_match_the_node_by_node_reference(strict_tol):
+    rng = random.Random(7)
+    found = [0, 0]
+    for seed in range(40):
+        tree = random_tree(rng, depth=rng.randint(1, 4))
+        players = rng.randint(2, 4)
+        # Few distinct values, so ties (Q == Y, X == Y) are common.
+        levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+        def procs():
+            return tuple(
+                tuple(rng.choice(levels) for _ in range(tree.n_nodes))
+                for _ in range(players)
+            )
+
+        spec = GameSpec(tree, procs(), procs(), procs())
+        if seed % 2:
+            spec = relabeled_game(spec, random.Random(seed))
+        for game in (spec, gen_game(players, 3, 2, seed, mode="touching")):
+            got = validate_assumptions(game, strict_tol)
+            want = reference_validate_assumptions(game, strict_tol)
+            assert got.a3_violations == want.a3_violations
+            assert got.a4_violations == want.a4_violations
+            found[0] += len(want.a3_violations)
+            found[1] += len(want.a4_violations)
+    # A NaN tolerance triggers nothing, so it finds no touching violation.
+    assert found[0] and bool(found[1]) is not math.isnan(strict_tol)
 
 
 def test_end_payoff_uses_q_only_at_leaves():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import random
 
 import pytest
 
@@ -19,8 +20,9 @@ from dynkin import (
     verify_streamline,
 )
 from dynkin.cli import main
+from dynkin.gamefile import canonical_bytes
 from dynkin.report import build_report, trace_table, write_report
-from helpers import game_document
+from helpers import game_document, relabeled_game
 
 
 def _game_file(tmp_path, spec, name="game.json"):
@@ -56,6 +58,24 @@ def test_report_determinism_modulo_timestamp(tmp_path):
     r1.pop("generated_at")
     r2.pop("generated_at")
     assert r1 == r2
+
+
+# A trace file name equal to, or ending in, a marker the writer would
+# draw first must not be mistaken for an array's place.
+@pytest.mark.parametrize("trace_file", [None, "trace.csv", "\x000:0",
+                                        'a"\x000:1', "\x001:2"], ids=repr)
+def test_written_report_is_the_canonical_encoding(tmp_path, trace_file):
+    games = [gen_game(2 + seed % 3, (2, 3, 4)[seed % 3], (3, 2, 2)[seed % 3],
+                      seed=900 + seed, mode=("strict", "touching")[seed % 2])
+             for seed in range(6)]
+    games.append(relabeled_game(games[1], random.Random(1)))
+    games.append(gen_game(3, 30, 1, seed=7))
+    path = tmp_path / "report.json"
+    for spec in games:
+        report = build_report(spec, solve_and_certify(spec),
+                              trace_file=trace_file, timestamp="t")
+        write_report(report, str(path))
+        assert path.read_bytes() == canonical_bytes(report)
 
 
 def test_trace_table_layout():

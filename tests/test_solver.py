@@ -1,12 +1,14 @@
 """Round-robin iteration: updates, convergence, audits."""
 
 import dataclasses
+import math
 import random
 
 import pytest
 
 from dynkin import (
     GameSpec,
+    ScenarioTree,
     audit_iteration,
     canonicalize,
     cutoff_obstacle,
@@ -29,6 +31,10 @@ from helpers import (
     audit_deviation_bound,
     chain_tree,
     expect_at,
+    random_process,
+    random_tree,
+    reference_run,
+    reference_step,
     relabeled_game,
     triple_game,
 )
@@ -260,3 +266,103 @@ def test_make_candidate_rejects_short_profiles():
     spec = demo_constant(2, 1, 2)
     with pytest.raises(ValueError):
         make_candidate((horizon_stop(spec.tree),))
+
+
+def _record_fields(rec):
+    """Every field of a record; floats by their exact bits."""
+    return (
+        rec.n,
+        rec.player,
+        rec.theta.node_by_leaf,
+        rec.mu.node_by_leaf,
+        rec.tau.node_by_leaf,
+        float.hex(rec.root_value),
+        float.hex(rec.flat_gap),
+        rec.flat_node,
+    )
+
+
+def _random_game(seed):
+    # Payoffs in no order: run needs no assumption, and unordered
+    # obstacles flip more hit marks between updates.
+    rng = random.Random(seed)
+    tree = random_tree(rng, depth=rng.randint(2, 5))
+    players = rng.randint(2, 4)
+
+    def procs():
+        return tuple(random_process(rng, tree) for _ in range(players))
+
+    return GameSpec(tree, procs(), procs(), procs())
+
+
+def _sum_beyond_range_game():
+    # Two children whose probability-weighted payoffs sum past the
+    # largest float: the envelope overflows to inf.
+    m = 1.7976931348623157e308
+    tree = ScenarioTree([None, 0, 0], [1.0, 0.5000000000001,
+                                      0.4999999999999999])
+    vals = ((m,) * 3,) * 2
+    return GameSpec(tree, vals, vals, vals)
+
+
+def _cached_solver_games():
+    for seed in range(24):
+        spec = gen_game(2 + seed % 3, (3, 4, 5, 2)[seed % 4],
+                        (2, 2, 2, 3)[seed % 4], seed=400 + seed,
+                        mode=("strict", "touching")[seed // 4 % 2])
+        yield f"gen{seed}", spec
+        if seed % 3 == 0:
+            yield f"relabeled{seed}", relabeled_game(spec, random.Random(seed))
+    for seed in range(4):
+        yield f"chain{seed}", gen_game(2 + seed % 3, 40, 1, seed=500 + seed,
+                                       mode=("strict", "touching")[seed % 2])
+    for seed in range(12):
+        yield f"random{seed}", _random_game(600 + seed)
+
+
+def _scaled_games(scale):
+    for name, spec in _cached_solver_games():
+        yield name, _scaled(spec, scale) if scale != 1.0 else spec
+    if scale == 1.0:  # payoffs at the float limit cannot be scaled up
+        yield "sum_beyond_range", _sum_beyond_range_game()
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-40, 2.0**30, 1e9], ids=repr)
+def test_cached_run_matches_full_recomputation(scale):
+    for name, spec in _scaled_games(scale):
+        cand, state = run(spec)
+        want_cand, want = reference_run(spec)
+        assert cand == want_cand, name
+        assert state == want, name
+        assert [_record_fields(r) for r in state.trace] == [
+            _record_fields(r) for r in want.trace], name
+        for rec in state.trace:
+            # a NaN gap is never the largest
+            assert rec.flat_node < 0 or not math.isnan(rec.flat_gap), name
+
+
+def test_step_matches_the_full_recomputation_from_any_state():
+    for name, spec in _scaled_games(1.0):
+        _, done = run(spec)
+        for state in (init_state(spec), done):
+            got, want = state, state
+            for _ in range(2 * spec.n_players):
+                got, want = step(got, spec), reference_step(want, spec)
+            assert got == want, name
+            assert [_record_fields(r) for r in got.trace] == [
+                _record_fields(r) for r in want.trace], name
+
+
+def test_a_repeated_cutoff_repeats_the_players_record():
+    repeats = 0
+    for name, spec in _scaled_games(1.0):
+        _, state = run(spec)
+        last = {}
+        for rec in state.trace:
+            prev = last.get(rec.player)
+            if prev is not None and prev.theta == rec.theta:
+                repeats += 1
+                assert _record_fields(rec)[2:] == _record_fields(prev)[2:], (
+                    name, rec.n)
+            last[rec.player] = rec
+    assert repeats
