@@ -67,6 +67,11 @@ class GameSpec:
                         f"player {i}: {name} has {len(vals)} values "
                         f"but tree has {self.tree.n_nodes} nodes"
                     )
+                if set(map(type, vals)) <= {float} and all(
+                    map(math.isfinite, vals)
+                ):  # the common case: all finite floats, checked at once
+                    procs.append(tuple(vals))
+                    continue
                 for v, x in enumerate(vals):
                     f = x if type(x) is float else _number(x)  # floats first
                     if f is None:

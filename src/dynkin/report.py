@@ -107,6 +107,17 @@ def build_report(
     """The run report as a JSON-ready dict.  Order, touching-rule and
     audit violations and streamline checks are written field for field,
     so those dataclasses' fields are report keys (see docs/format.md)."""
+    return _build_report(spec, result, game_digest(spec), trace_file, timestamp)
+
+
+def _build_report(
+    spec: GameSpec,
+    result: CertifiedRun,
+    digest: str,
+    trace_file: Optional[str] = None,
+    timestamp: Optional[str] = None,
+) -> dict:
+    """:func:`build_report` with the input digest already computed."""
     tree = spec.tree
     cand = result.candidate
     if timestamp is None:
@@ -128,7 +139,7 @@ def build_report(
     return {
         "format": REPORT_FORMAT,
         "generated_at": timestamp,
-        "input_digest": game_digest(spec),
+        "input_digest": digest,
         "game": {
             "players": spec.n_players,
             "horizon": tree.horizon,

@@ -122,7 +122,8 @@ class ScenarioTree:
         if abs(probs[0] - 1.0) > PROB_TOL:
             raise TreeError(f"root cond_prob must be 1, got {probs[0]!r}")
 
-        # One int object per id, shared by ``children`` and ``leaves``.
+        # One int object per id, shared by ``children``, ``leaves`` and
+        # ``depth``.
         ids = list(range(n))
         kids: list[list[int]] = [[] for _ in ids]
         for v in ids[1:]:
@@ -140,7 +141,7 @@ class ScenarioTree:
         prob = [1.0] * n
         for v in range(1, n):
             p = parents[v]
-            depth[v] = depth[p] + 1
+            depth[v] = ids[depth[p] + 1]
             prob[v] = prob[p] * probs[v]
 
         leaves = tuple(v for v in ids if not kids[v])
