@@ -6,11 +6,11 @@ order, root parent ``null``), and ``processes`` (object with keys
 ``X``, ``Q``, ``Y``, each an array of per-player node-indexed arrays).
 Serialization is canonical (sorted keys, two-space indent, shortest
 round-trip floats) so identical games produce identical bytes, and all
-writes go through a temp file followed by an atomic rename.  One game
-writer produces those canonical bytes: :func:`save_game` writes them
-and :func:`game_digest` hashes them in chunks, so the digest never
-holds the whole document.  Other documents (profiles, reports) go
-through :func:`canonical_bytes`.
+writes go through a temp file followed by an atomic rename.  Only this
+module knows the format: :func:`canonical_bytes` writes any document,
+and the game writer adds one node template to it; :func:`save_game`
+writes those bytes and :func:`game_digest` hashes them in chunks, so
+the digest never holds the whole document.
 
 Errors are split into two kinds so callers can map them to distinct
 exit codes: :class:`GameParseError` for undecodable or mistyped
@@ -24,7 +24,6 @@ import hashlib
 import json
 import os
 import random
-import tempfile
 from typing import Sequence
 
 from .game import GameError, GameSpec
@@ -172,50 +171,67 @@ def _check_numbers(shaped, where: str) -> None:
                 )
 
 
-def canonical_bytes(doc) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
-
-
-_NODE = '\n    {\n      "id": %d,\n      "p": %r,\n      "parent": %s\n    }'
-_VALUE = "\n        "
-# nodes or values per piece: bounds what the digest holds at once
+# One C encoder, reused: ``JSONEncoder.encode`` builds one per call.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ": ", ", ", False, False, True)
+# array items or nodes per piece: bounds what the digest holds at once
 _PIECE = 1024
 
 
-def _game_chunks(spec: GameSpec):
-    """Yield the canonical text of ``spec``'s game file in pieces.
+def _canonical(doc, pad: str):
+    """Yield ``json.dumps(doc, sort_keys=True, indent=2)`` in pieces (str
+    keys only); ``pad`` is the line break and indent ``doc`` starts at.
+    Scalars, and arrays not starting with a container, go through the C
+    encoder, arrays ``_PIECE`` items at a time; a piece with no ``"`` and
+    no inner ``[`` is re-indented at its ``", "``, the rest item by item."""
+    inner = pad + "  "
+    if isinstance(doc, dict) and doc:
+        for k, key in enumerate(sorted(doc)):
+            yield ("," if k else "{") + inner
+            yield json.encoder.encode_basestring_ascii(key) + ": "
+            yield from _canonical(doc[key], inner)
+        yield pad + "}"
+    elif isinstance(doc, (list, tuple)) and doc:
+        flat = not isinstance(doc[0], (dict, list, tuple))
+        for a in range(0, len(doc), _PIECE):
+            piece = doc[a:a + _PIECE]
+            text = "".join(_encode(piece, 0)) if flat else ""
+            if not flat or '"' in text or "[" in text[1:]:
+                for k, item in enumerate(piece, a):
+                    yield ("," if k else "[") + inner
+                    yield from _canonical(item, inner)
+            else:
+                yield ("," if a else "[") + inner
+                yield text[1:-1].replace(", ", "," + inner)
+        yield pad + "]"
+    else:
+        yield "".join(_encode(doc, 0))
 
-    Joined, they are what ``canonical_bytes`` gives for the game as a
-    document (top-level keys ``horizon``, ``nodes``, ``players``,
-    ``processes``; processes ``Q``, ``X``, ``Y``), without the
-    pure-Python encoder that ``indent`` forces: nodes are formatted
-    from one template (``%r`` is the float repr ``json`` writes), and
-    payoff values go through the C encoder and are re-indented at its
-    ``", "`` separators, which never occur inside a number.
-    """
+
+def canonical_bytes(doc) -> bytes:
+    return "".join([*_canonical(doc, "\n"), "\n"]).encode("utf-8")
+
+
+_NODE = '\n    {\n      "id": %d,\n      "p": %r,\n      "parent": %s\n    }'
+
+
+def _game_chunks(spec: GameSpec):
+    """Yield ``canonical_bytes`` of ``spec``'s game file as text pieces.
+    Only the nodes come from a template (``%r`` is the float repr
+    ``json`` writes): as dicts through :func:`_canonical`, the 131,071
+    nodes of a depth-16 binary tree take 5 to 9 times as long."""
     tree = spec.tree
     parents, probs, n = tree.parents, tree.cond_probs, tree.n_nodes
-    pieces = [(a, min(a + _PIECE, n)) for a in range(0, n, _PIECE)]
     yield '{\n  "horizon": %d,\n  "nodes": [' % tree.horizon
-    for a, b in pieces:
+    for a in range(0, n, _PIECE):
         yield ("," if a else "") + ",".join([
             _NODE % (v, probs[v], "null" if parents[v] is None else parents[v])
-            for v in range(a, b)
+            for v in range(a, min(a + _PIECE, n))
         ])
-    yield '\n  ],\n  "players": %d,\n  "processes": {' % spec.n_players
-    encode = json.JSONEncoder().encode
-    for name, procs in (("Q", spec.Q), ("X", spec.X), ("Y", spec.Y)):
-        yield ("" if name == "Q" else ",") + '\n    "%s": [' % name
-        for i, values in enumerate(procs):
-            yield ("," if i else "") + "\n      ["
-            for a, b in pieces:
-                yield (
-                    ("," if a else "") + _VALUE
-                    + encode(values[a:b])[1:-1].replace(", ", "," + _VALUE)
-                )
-            yield "\n      ]"
-        yield "\n    ]"
-    yield "\n  }\n}\n"
+    yield '\n  ],\n  "players": %d,\n  "processes": ' % spec.n_players
+    yield from _canonical({"Q": spec.Q, "X": spec.X, "Y": spec.Y}, "\n  ")
+    yield "\n}\n"
 
 
 def game_digest(spec: GameSpec) -> str:
@@ -227,13 +243,16 @@ def game_digest(spec: GameSpec) -> str:
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        # "x" never opens an existing file, and the mode is what open()
+        # gives any new file, 0o666 less the umask (mkstemp's is 0o600)
+        fh = open(tmp, "xb")
     except OSError as exc:
         # name the caller's path, not the temp file that was never made
         raise OSError(exc.errno, exc.strerror, path) from exc
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

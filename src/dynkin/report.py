@@ -4,15 +4,14 @@ A run report is a self-contained JSON document: together with the game
 file it lets a third party rebuild the equilibrium profile and re-check
 every certificate boolean.  All fields are deterministic except
 ``generated_at``, which is explicitly excluded from the determinism
-contract.
+contract.  The report is written as
+:func:`~dynkin.gamefile.canonical_bytes` of its dict.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
-import json
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -189,46 +188,7 @@ def _build_report(
 
 
 def write_report(report: dict, path: str) -> None:
-    atomic_write_bytes(path, _report_bytes(report))
-
-
-def _report_bytes(report: dict) -> bytes:
-    """``canonical_bytes(report)``, with the long int arrays (each
-    player's ``leaf_depths`` and ``stop_nodes``, and
-    ``joint_min_stop_nodes``) through the C encoder, which ``indent``
-    rules out.  Each array stands in the encoded rest of the report as a
-    marker string, drawn afresh while the rest holds it anywhere else,
-    and is spliced in at the marker line's indent, split at the C
-    encoder's ", " separators, which never occur inside an int."""
-    eq = report["equilibrium"]
-    arrays = [eq["joint_min_stop_nodes"]]
-    for p in eq["players"]:
-        arrays += [p["leaf_depths"], p["stop_nodes"]]
-    for salt in itertools.count():
-        marks = [f"\0{salt}:{k}" for k in range(len(arrays))]
-        players = [
-            dict(p, leaf_depths=marks[2 * k + 1], stop_nodes=marks[2 * k + 2])
-            for k, p in enumerate(eq["players"])
-        ]
-        rest = dict(report, equilibrium=dict(
-            eq, joint_min_stop_nodes=marks[0], players=players
-        ))
-        text = canonical_bytes(rest).decode("utf-8")
-        quoted = [json.dumps(m) for m in marks]
-        if all(text.count(q) == 1 for q in quoted):
-            break
-    pieces = []
-    end = 0
-    for at, q, values in sorted(
-        (text.index(q), q, values) for q, values in zip(quoted, arrays)
-    ):
-        line = text[text.rindex("\n", 0, at) + 1:at]
-        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        items = json.dumps(values)[1:-1].replace(", ", "," + pad + "  ")
-        pieces += [text[end:at], f"[{pad}  {items}{pad}]" if values else "[]"]
-        end = at + len(q)
-    pieces.append(text[end:])
-    return "".join(pieces).encode("utf-8")
+    atomic_write_bytes(path, canonical_bytes(report))
 
 
 def trace_table(state: SolverState, tree) -> tuple[list[str], list[list]]:

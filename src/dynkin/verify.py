@@ -115,7 +115,8 @@ class NashCertificate:
 
     @property
     def max_gap(self) -> float:
-        return max(p.gap for p in self.players)
+        # a NaN gap wins: max() alone skips a NaN that does not come first
+        return max((p.gap for p in self.players), key=lambda g: (g != g, g))
 
 
 def verify_nash(

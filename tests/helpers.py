@@ -4,8 +4,8 @@ Seeded random trees, processes, and stopping times used by both the
 module tests and the acceptance suite, plus checks only tests use:
 fixed-depth stops, expectations at a stopping time, the one-step
 (super)martingale condition, the brute-force deviation audit, the
-game document as a dict, the reference the game writer is checked
-against, and the depth-comparing pathwise minimum, order and
+game document as a dict, the ``json`` encoding the canonical writer is
+checked against, and the depth-comparing pathwise minimum, order and
 brute-force best response the id-comparing package routes are checked
 against, and the leaf-branching envelope, stopping-time count and
 enumeration the kernels over ``tree.internal`` are checked against,
@@ -16,6 +16,7 @@ one is checked against.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from typing import Sequence
@@ -124,6 +125,11 @@ def game_document(spec: GameSpec) -> dict:
             "Y": [list(p) for p in spec.Y],
         },
     }
+
+
+def reference_canonical_bytes(doc) -> bytes:
+    """The canonical encoding by ``json``'s own (pure-Python) encoder."""
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def depth_first_leaves(tree: ScenarioTree) -> tuple[int, ...]:

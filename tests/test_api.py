@@ -1,4 +1,8 @@
-"""The package's public names: adding or removing one is deliberate."""
+"""The package's public names: adding or removing one is deliberate.
+And one module writes JSON."""
+
+import ast
+from pathlib import Path
 
 import dynkin
 
@@ -59,3 +63,26 @@ def test_public_names_are_pinned():
     assert sorted(dynkin.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(dynkin, name), name
+
+
+JSON_WRITERS = {"dump", "dumps", "JSONEncoder", "encoder"}
+
+
+def _json_writer_uses(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in JSON_WRITERS and (
+            isinstance(node.value, ast.Name) and node.value.id == "json"
+        ):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            yield from (a.name for a in node.names if a.name in JSON_WRITERS)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json.encoder":
+            yield "json.encoder"
+
+
+def test_only_gamefile_encodes_json():
+    # The canonical format is written in one place: a second encoder
+    # could drift from it.
+    package = Path(dynkin.__file__).parent
+    writers = {p.name for p in package.glob("*.py") if any(_json_writer_uses(p))}
+    assert writers == {"gamefile.py"}

@@ -206,13 +206,16 @@ def _uniform_doc(parents, probs, x, q, y):
     }
 
 
+# Sibling probabilities summing to just above 1.
+BEYOND = ([None, 0, 0], [1.0, 0.5000000000001, 0.4999999999999999])
+
+
 # Every input value is finite, but an expected payoff passes the float
 # range: it is summed to infinity (the gap inf - inf is undefined, so
 # certification fails).  On the second game the exact sums stay in
 # range and the game solves.
 @pytest.mark.parametrize("doc, solve_code", [
-    (_uniform_doc([None, 0, 0], [1.0, 0.5000000000001, 0.4999999999999999],
-                  M, M, M), 4),
+    (_uniform_doc(*BEYOND, M, M, M), 4),
     (_uniform_doc([None, 0, 0, 1, 1, 2, 2],
                   [1.0, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9], M / 2, M, M), 0),
 ], ids=["sum_beyond_range", "sum_near_range"])
@@ -244,6 +247,25 @@ def test_payoffs_near_float_range_end_without_a_traceback(tmp_path, capsys,
     assert streamline["passed"] is not bool(solve_code)
     assert [c["martingale_ok"] for c in streamline["players"]] == (
         [not solve_code] * 2)
+
+
+def test_a_nan_gap_makes_the_max_gap_nan(tmp_path, capsys):
+    # Player 0's payoffs stay small, so its gap is 0; player 1's is
+    # inf - inf.  max() alone keeps the first gap and skips the NaN.
+    doc = _uniform_doc(*BEYOND, M / 2, M, M)
+    for key, val in (("X", 0.0), ("Q", 0.5), ("Y", 1.0)):
+        doc["processes"][key][0] = [val] * 3
+    path = tmp_path / "game.json"
+    report = tmp_path / "report.json"
+    path.write_bytes(_dump(doc))
+    argv = ["solve", str(path), "--report", str(report)]
+    assert _run(capsys, argv)[0] == 4
+    doc = json.loads(report.read_text())
+    gap0, gap1 = (p["nash_gap"] for p in doc["equilibrium"]["players"])
+    assert gap0 == 0.0 and math.isnan(gap1)
+    nash = doc["certificates"]["nash"]
+    assert nash["is_nash"] is False
+    assert math.isnan(nash["max_gap"])
 
 
 def _names_the_output(err: str, out: str) -> None:

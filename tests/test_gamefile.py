@@ -8,7 +8,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynkin import (
@@ -27,12 +27,19 @@ from dynkin import (
     validate_assumptions,
 )
 from dynkin.gamefile import (
+    _PIECE,
     _game_chunks,
     canonical_bytes,
     game_digest,
     game_from_document,
 )
-from helpers import chain_tree, game_document, random_tree, relabeled_game
+from helpers import (
+    chain_tree,
+    game_document,
+    random_tree,
+    reference_canonical_bytes,
+    relabeled_game,
+)
 
 
 def test_round_trip_preserves_the_game(tmp_path):
@@ -42,13 +49,11 @@ def test_round_trip_preserves_the_game(tmp_path):
     loaded = load_game(str(path))
     assert loaded == spec
     # canonical serialization is byte-stable across a round trip
-    assert canonical_bytes(game_document(loaded)) == path.read_bytes()
+    assert path.read_bytes() == reference_canonical_bytes(game_document(loaded))
 
 
 def _reference_bytes(spec) -> bytes:
-    return (
-        json.dumps(game_document(spec), sort_keys=True, indent=2) + "\n"
-    ).encode("utf-8")
+    return reference_canonical_bytes(game_document(spec))
 
 
 def _written_bytes(spec) -> bytes:
@@ -105,6 +110,51 @@ def _chain_game():
 def test_writer_matches_the_reference(make):
     spec = make()
     assert _written_bytes(spec) == _reference_bytes(spec)
+
+
+NUMBERS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([2**64, -(2**64) - 1, 10**40, 0.0, -0.0, 5e-324,
+                     -2.5e-310, math.nan, math.inf, -math.inf]),
+)
+STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', ", ", "a, b", "[1, 2]", "{", "\0", "\\",
+                     "caf\u00e9 \u2603 \U0001f600"]),
+)
+
+
+@st.composite
+def long_arrays(draw):
+    """A list or tuple past one piece, perhaps with a string or a
+    container somewhere in it."""
+    head = draw(st.lists(NUMBERS, min_size=1, max_size=3))
+    arr = head * (_PIECE // len(head) + draw(st.integers(1, 400)))
+    if draw(st.booleans()):
+        odd = st.one_of(STRINGS, st.lists(NUMBERS, max_size=2),
+                        st.dictionaries(STRINGS, NUMBERS, max_size=2))
+        arr.insert(draw(st.integers(0, len(arr))), draw(odd))
+    return draw(st.sampled_from([arr, tuple(arr)]))
+
+
+DOCUMENTS = st.recursive(
+    st.one_of(NUMBERS, STRINGS, long_arrays()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(STRINGS, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS)
+@example([1, "a, b"])
+@example([[1], 2, "x"])
+@example([0.5, {"k": [], "": ()}])
+def test_canonical_bytes_match_the_reference(doc):
+    assert canonical_bytes(doc) == reference_canonical_bytes(doc)
 
 
 def test_save_and_digest_agree(tmp_path):

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import os
 import random
+import stat
 
 import pytest
 
@@ -20,9 +22,8 @@ from dynkin import (
     verify_streamline,
 )
 from dynkin.cli import main
-from dynkin.gamefile import canonical_bytes
 from dynkin.report import build_report, trace_table, write_report
-from helpers import game_document, relabeled_game
+from helpers import game_document, reference_canonical_bytes, relabeled_game
 
 
 def _game_file(tmp_path, spec, name="game.json"):
@@ -60,8 +61,8 @@ def test_report_determinism_modulo_timestamp(tmp_path):
     assert r1 == r2
 
 
-# A trace file name equal to, or ending in, a marker the writer would
-# draw first must not be mistaken for an array's place.
+# Trace file names with NULs and quotes are strings in the report,
+# escaped as json escapes them.
 @pytest.mark.parametrize("trace_file", [None, "trace.csv", "\x000:0",
                                         'a"\x000:1', "\x001:2"], ids=repr)
 def test_written_report_is_the_canonical_encoding(tmp_path, trace_file):
@@ -75,7 +76,23 @@ def test_written_report_is_the_canonical_encoding(tmp_path, trace_file):
         report = build_report(spec, solve_and_certify(spec),
                               trace_file=trace_file, timestamp="t")
         write_report(report, str(path))
-        assert path.read_bytes() == canonical_bytes(report)
+        assert path.read_bytes() == reference_canonical_bytes(report)
+
+
+# Written files get the mode open() would give them under the umask.
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask_022", "umask_077"])
+def test_written_files_follow_the_umask(tmp_path, capsys, umask, mode):
+    game = tmp_path / "game.json"
+    report = tmp_path / "report.json"
+    old = os.umask(umask)
+    try:
+        assert main(["demo", str(game)]) == 0
+        assert main(["solve", str(game), "--report", str(report)]) == 0
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (game, report)] == [
+        mode, mode]
 
 
 def test_trace_table_layout():
