@@ -6,7 +6,8 @@ failure, 5 enumeration cap hit.
 
 On a large game, ``solve --report`` computes the report's input digest
 in a short-lived child process (where ``os.fork`` exists) while it
-solves; the outputs do not change.
+solves, and hands it to the one ``build_report`` call; the outputs do
+not change.  ``--max-rounds`` below 0 is a usage error.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from .gamefile import (
     load_profile,
     save_game,
 )
-from .report import (
-    _build_report,
-    build_report,
-    solve_and_certify,
-    write_report,
-    write_trace,
-)
+from .report import build_report, solve_and_certify, write_report, write_trace
 from .snell import EQ_TOL, RESIDUAL_TOL
 from .solver import make_candidate
 from .tree import DEFAULT_ENUM_CAP, EnumerationCapError, TreeError
@@ -63,6 +58,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
+def _round_budget(text: str) -> int:
+    """The ``--max-rounds`` value: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own message for ``type=int``
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 # Built once: parsing keeps no state, and help is formatted when printed.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the solver and certify the result")
     p.add_argument("game")
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=_round_budget, default=None)
     p.add_argument("--tol", type=float, default=EQ_TOL)
     p.add_argument("--residual-tol", type=float, default=RESIDUAL_TOL)
     p.add_argument("--strict-tol", type=float, default=0.0)
@@ -265,10 +271,9 @@ def _solve(args, spec, child: Optional[_DigestChild]) -> int:
         write_trace(result.state, spec.tree, args.trace)
     if args.report:
         digest = child.read() if child is not None else None
-        if digest is None:
-            report = build_report(spec, result, trace_file=args.trace)
-        else:
-            report = _build_report(spec, result, digest, trace_file=args.trace)
+        report = build_report(
+            spec, result, trace_file=args.trace, _digest=digest
+        )
         write_report(report, args.report)
     if not cand.converged:
         print(f"not converged within {result.max_rounds} rounds")

@@ -5,12 +5,12 @@ A game file is a JSON document with four top-level keys: ``horizon``,
 order, root parent ``null``), and ``processes`` (object with keys
 ``X``, ``Q``, ``Y``, each an array of per-player node-indexed arrays).
 Serialization is canonical (sorted keys, two-space indent, shortest
-round-trip floats) so identical games produce identical bytes, and all
-writes go through a temp file followed by an atomic rename.  Only this
-module knows the format: :func:`canonical_bytes` writes any document,
-and the game writer adds one node template to it; :func:`save_game`
-writes those bytes and :func:`game_digest` hashes them in chunks, so
-the digest never holds the whole document.
+round-trip floats) so identical games produce identical bytes, and a
+write to a regular file goes through a temp file and an atomic rename.
+Only this module knows the format: :func:`canonical_bytes` writes any
+document, and the game writer adds one node template to it;
+:func:`save_game` writes those bytes and :func:`game_digest` hashes
+them in chunks, so the digest never holds the whole document.
 
 Errors are split into two kinds so callers can map them to distinct
 exit codes: :class:`GameParseError` for undecodable or mistyped
@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import random
+import stat
 from typing import Sequence
 
 from .game import GameError, GameSpec
@@ -242,7 +243,20 @@ def game_digest(spec: GameSpec) -> str:
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write ``data`` to ``path`` through a temp file and a rename.  A
+    symlink stays a link and its target gets the bytes; anything that
+    exists but is not a regular file (a FIFO, a device) is written in
+    place instead of replaced."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:  # nothing there yet, or a dangling link
+        regular = True
+    if not regular:
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    directory = os.path.dirname(os.path.abspath(target))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
     try:
         # "x" never opens an existing file, and the mode is what open()
@@ -254,7 +268,7 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     try:
         with fh:
             fh.write(data)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         try:
             os.unlink(tmp)

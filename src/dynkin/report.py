@@ -102,23 +102,17 @@ def build_report(
     result: CertifiedRun,
     trace_file: Optional[str] = None,
     timestamp: Optional[str] = None,
+    *,
+    _digest: Optional[str] = None,
 ) -> dict:
     """The run report as a JSON-ready dict.  Order, touching-rule and
     audit violations and streamline checks are written field for field,
-    so those dataclasses' fields are report keys (see docs/format.md)."""
-    return _build_report(spec, result, game_digest(spec), trace_file, timestamp)
-
-
-def _build_report(
-    spec: GameSpec,
-    result: CertifiedRun,
-    digest: str,
-    trace_file: Optional[str] = None,
-    timestamp: Optional[str] = None,
-) -> dict:
-    """:func:`build_report` with the input digest already computed."""
+    so those dataclasses' fields are report keys (see docs/format.md).
+    ``_digest`` is the input digest when the caller has computed it."""
     tree = spec.tree
     cand = result.candidate
+    if _digest is None:
+        _digest = game_digest(spec)
     if timestamp is None:
         timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     players = []
@@ -138,7 +132,7 @@ def _build_report(
     return {
         "format": REPORT_FORMAT,
         "generated_at": timestamp,
-        "input_digest": digest,
+        "input_digest": _digest,
         "game": {
             "players": spec.n_players,
             "horizon": tree.horizon,

@@ -9,9 +9,10 @@ envelope.  The backward pass marks those nodes, and one cut pass
 (``tree._first_on_path``) over the marks gives its stop on each path.
 Both come in a :class:`SnellResult`, which only this module exports.
 Processes are any length-K float sequences indexed by node id; the
-envelope is a tuple.  The backward step (``_backward``) takes a node
-list: a full pass walks ``tree.internal``, the solver's updates only
-the root paths whose cutoff stop moved.
+envelope is a tuple.  The backward step (``_backward``) writes the
+envelope in place over the obstacle and takes a node list: a full pass
+walks ``tree.internal``, the solver's updates only the root paths whose
+cutoff stop moved.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def snell_envelope(tree: ScenarioTree, obstacle: Sequence[float]) -> SnellResult
     _check_process(tree, obstacle)
     w = list(obstacle)
     hit = _marks(tree, tree.leaves)
-    _backward(tree, obstacle, w, hit, tree.internal)
+    _backward(tree, w, hit, tree.internal)
     first = _first_on_path(tree, hit)
     return SnellResult(
         envelope=tuple(w),
@@ -64,20 +65,18 @@ def snell_envelope(tree: ScenarioTree, obstacle: Sequence[float]) -> SnellResult
     )
 
 
-def _backward(tree, obstacle, w, hit, nodes) -> None:
-    """Envelope values ``w`` and hit flags ``hit`` at ``nodes``, internal
-    ids in an order that puts every child first, from the children's
-    entries of ``w``; the one backward-induction step."""
+def _backward(tree, w, hit, nodes) -> None:
+    """Envelope values ``w`` and hit flags ``hit`` at ``nodes`` (children
+    first), over the obstacle values ``w`` holds there, from the
+    children's entries; the one backward-induction step."""
     children = tree.children
     cond = tree.cond_probs
     for v in nodes:
         cont = 0.0
         for c in children[v]:
             cont += cond[c] * w[c]
-        u = obstacle[v]
-        if u >= cont - EQ_TOL:
+        if w[v] >= cont - EQ_TOL:  # the obstacle, kept as the envelope
             hit[v] = 1
-            w[v] = u
         else:
             hit[v] = 0
             w[v] = cont

@@ -11,24 +11,25 @@ elsewhere it stays.  The per-player stopping times are non-increasing
 along the iteration, so the process reaches a fixed point, the
 returned equilibrium candidate.
 
-Inside :func:`run` each player keeps a cache from one of its updates to
-the next: its last record and, per node, its end payoff, envelope, hit
+:func:`run` owns one cache per player and hands the dict to every
+:func:`step` through the private keyword ``_caches``.  A cache holds the
+player's last record and, per node, its end payoff, envelope, hit
 flags, first hits and flat-check gaps.  An update recomputes only the
 root paths of the leaves whose cutoff stop moved (``_update``), with
 the arithmetic of a full pass, so its record is bit for bit the full
 recomputation's.  A cutoff equal to the player's previous one is a
 no-op: the update rule ``m if m < t else o`` is idempotent for a fixed
 earliest optimal stop and cutoff, so the player's previous record
-repeats.  A player's first update, and every direct :func:`step` call,
-starts from an empty cache, where every node counts as moved.  The
-caches are dropped when ``run`` returns; the audit and the certifiers
-work from the records and the game alone.
+repeats.  A player's first update, and every direct ``step(state,
+spec)`` call, starts from an empty cache, where every node counts as
+moved.  The caches are dropped when ``run`` returns; the audit and the
+certifiers work from the records and the game alone.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Optional, Sequence
 
@@ -111,14 +112,6 @@ def init_state(spec: GameSpec) -> SolverState:
     return SolverState(n=n, current=(horizon_stop(spec.tree),) * n, trace=())
 
 
-@dataclass(frozen=True)
-class _RunState(SolverState):
-    """A state inside :func:`run`, carrying each player's :class:`_Cache`
-    from one update to the next; it never leaves ``run``."""
-
-    caches: dict = field(default_factory=dict, repr=False, compare=False)
-
-
 class _Cache:
     """One player's last update: its record and, per node, the end
     payoff, and the envelope, hit flags, first hits and flat-check gaps
@@ -131,14 +124,15 @@ class _Cache:
         self.record = None
 
 
-def step(state: SolverState, spec: GameSpec) -> SolverState:
-    """Advance the iteration by one player update."""
+def step(state: SolverState, spec: GameSpec, *, _caches=None) -> SolverState:
+    """Advance the iteration by one player update; ``_caches`` is
+    :func:`run`'s per-player cache dict, else the update starts fresh."""
     tree = spec.tree
     n_next = state.n + 1
     player = state.n % spec.n_players
     theta = min_stop(*(t for j, t in enumerate(state.current) if j != player))
     old = state.current[player]
-    caches = state.caches if isinstance(state, _RunState) else {}
+    caches = {} if _caches is None else _caches
     cache = caches.setdefault(player, _Cache())
     prev = cache.record
 
@@ -174,10 +168,7 @@ def step(state: SolverState, spec: GameSpec) -> SolverState:
     cache.record = record
     current = list(state.current)
     current[player] = record.tau
-    # ``replace`` keeps the state's class, and a run's caches with it.
-    return replace(
-        state, n=n_next, current=tuple(current), trace=state.trace + (record,)
-    )
+    return SolverState(n_next, tuple(current), state.trace + (record,))
 
 
 def _update(spec: GameSpec, player: int, theta: StoppingTime, cache: _Cache):
@@ -218,14 +209,13 @@ def _update(spec: GameSpec, player: int, theta: StoppingTime, cache: _Cache):
         internal, hanging = _root_paths(tree, leaves)
     down = [*reversed(internal), *leaves]  # every parent first
 
-    # The envelope is built in place over the obstacle: the backward step
-    # reads a node's obstacle before it writes the node's envelope.
+    # The envelope is built in place over the obstacle.
     w, hit, first, gaps = cache.w, cache.hit, cache.first, cache.gaps
     ep = cache.ep
     cut, _ = _freeze(
         tree, _marks(tree, stops), spec.X[player], ep, ep, down, [-1] * n, w
     )
-    _backward(tree, w, w, hit, internal)
+    _backward(tree, w, hit, internal)
 
     _first_on_path(tree, hit, down, first)
     parents, children = tree.parents, tree.children
@@ -286,15 +276,15 @@ def run(
     """
     if max_rounds is None:
         max_rounds = default_round_bound(spec)
-    start = init_state(spec)
-    state = _RunState(start.n, start.current, start.trace)
+    state = init_state(spec)
+    caches: dict = {}
 
     converged = False
     rounds_used = 0
     for _ in range(max_rounds):
         before = state.current
         for _ in range(spec.n_players):
-            state = step(state, spec)
+            state = step(state, spec, _caches=caches)
         rounds_used += 1
         if before == state.current:
             converged = True
@@ -302,8 +292,7 @@ def run(
     candidate = make_candidate(
         state.current, rounds_used=rounds_used, converged=converged
     )
-    # The caches go with the run's own state.
-    return candidate, SolverState(state.n, state.current, state.trace)
+    return candidate, state
 
 
 @dataclass(frozen=True)

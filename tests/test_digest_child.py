@@ -112,6 +112,33 @@ def test_forked_digest_gives_the_inline_outputs(tmp_path, capfd,
     assert (inline[3] is None) == (code == 2)
 
 
+def test_the_report_is_built_once_with_the_childs_digest(tmp_path, capfd,
+                                                         monkeypatch):
+    spec = gen_game(3, 4, 2, seed=6, mode="touching")
+    path = str(tmp_path / "game.json")
+    save_game(spec, path)
+    want = report_module.game_digest(spec)
+    monkeypatch.setattr(cli, "_FORK_MIN_VALUES", 0)
+
+    def no_inline_digest(spec):
+        raise AssertionError("the digest was computed in the parent")
+
+    monkeypatch.setattr(report_module, "game_digest", no_inline_digest)
+    calls = []
+    build = cli.build_report
+
+    def counting_build_report(*args, **kwargs):
+        calls.append(kwargs.get("_digest"))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_report", counting_build_report)
+    code, _, err, data = _solve(capfd, ["solve", path],
+                                str(tmp_path / "report.json"))
+    assert (code, err) == (0, "")
+    assert calls == [want]
+    assert f'"input_digest": "{want}"'.encode() in data
+
+
 def _fork_fails():
     raise OSError(errno.EAGAIN, "fork refused")
 

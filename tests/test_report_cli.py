@@ -95,6 +95,60 @@ def test_written_files_follow_the_umask(tmp_path, capsys, umask, mode):
         mode, mode]
 
 
+def test_a_symlinked_output_stays_a_link(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["demo", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _demo_bytes(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "demo.json", "link.json", "target.json"]
+
+
+def test_a_dangling_symlink_creates_its_target(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["demo", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == _demo_bytes(tmp_path)
+
+
+def test_a_symlink_loop_is_not_replaced(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.symlink_to(b)
+    b.symlink_to(a)
+    assert main(["demo", str(a)]) == 1
+    assert "cannot write output" in capsys.readouterr().err
+    assert a.is_symlink() and b.is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_a_fifo_output_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "out.json"
+    os.mkfifo(fifo)
+    # The reader opens first and never blocks, so the writer's open
+    # cannot wait for it; the demo game fits in the pipe's buffer.
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["demo", str(fifo)]) == 0
+        data = os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+    assert data == _demo_bytes(tmp_path)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def _demo_bytes(tmp_path) -> bytes:
+    """The bytes ``dynkin demo`` writes to a plain new file."""
+    path = tmp_path / "demo.json"
+    save_game(demo_constant(2, 2, 2), str(path))
+    return path.read_bytes()
+
+
 def test_trace_table_layout():
     spec = demo_constant(2, 1, 2)
     result = solve_and_certify(spec)
@@ -190,6 +244,18 @@ def test_cli_solve_report_bytes_deterministic(tmp_path):
 def test_cli_solve_nonconvergence_exit_code(tmp_path, capsys):
     path = _game_file(tmp_path, gen_game(2, 3, 2, seed=3))
     assert main(["solve", path, "--max-rounds", "0"]) == 3
+
+
+def test_cli_solve_rejects_a_negative_round_budget(tmp_path, capsys):
+    path = _game_file(tmp_path, gen_game(2, 3, 2, seed=3))
+    report = tmp_path / "report.json"
+    argv = ["solve", path, "--report", str(report), "--max-rounds"]
+    assert main(argv + ["-5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --max-rounds" in err
+    assert not report.exists()
+    assert main(argv + ["0"]) == 3
+    assert json.loads(report.read_text())["solver"]["max_rounds"] == 0
 
 
 def test_cli_verify_accepts_equilibrium(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from dynkin import (
     GameSpec,
     ScenarioTree,
+    SolverState,
     audit_iteration,
     canonicalize,
     cutoff_obstacle,
@@ -24,6 +25,7 @@ from dynkin import (
     payoff,
     run,
     snell_envelope,
+    solver,
     step,
     verify_nash,
 )
@@ -351,6 +353,29 @@ def test_step_matches_the_full_recomputation_from_any_state():
             assert got == want, name
             assert [_record_fields(r) for r in got.trace] == [
                 _record_fields(r) for r in want.trace], name
+
+
+def test_run_hands_one_cache_dict_to_every_step(monkeypatch):
+    for name, spec in _scaled_games(1.0):
+        want_cand, want = run(spec)
+        calls = []
+
+        def counting_step(state, spec, **kwargs):  # no positional cache
+            calls.append(kwargs)
+            return step(state, spec, **kwargs)
+
+        monkeypatch.setattr(solver, "step", counting_step)
+        cand, state = run(spec)
+        monkeypatch.undo()
+        assert (cand, state) == (want_cand, want), name
+        assert [_record_fields(r) for r in state.trace] == [
+            _record_fields(r) for r in want.trace], name
+        assert type(state) is SolverState, name
+        assert len(calls) == len(state.trace), name
+        caches = calls[0]["_caches"]
+        assert all(list(kw) == ["_caches"] and kw["_caches"] is caches
+                   for kw in calls), name
+        assert sorted(caches) == list(range(spec.n_players)), name
 
 
 def test_a_repeated_cutoff_repeats_the_players_record():
