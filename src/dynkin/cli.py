@@ -5,9 +5,10 @@ path), 2 validation failure, 3 non-convergence, 4 certification
 failure, 5 enumeration cap hit.
 
 On a large game, ``solve --report`` computes the report's input digest
-in a short-lived child process (where ``os.fork`` exists) while it
-solves, and hands it to the one ``build_report`` call; the outputs do
-not change.  ``--max-rounds`` below 0 is a usage error.
+in a short-lived child process (where ``os.fork`` exists), started once
+the file is parsed, while it builds the spec and solves, and hands it to
+the one ``build_report`` call; the outputs do not change.
+``--max-rounds`` below 0 is a usage error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .game import AssumptionError, GameError, validate_assumptions
 from .gamefile import (
     GameParseError,
     GameStructureError,
+    _document_digest,
     demo_constant,
-    game_digest,
     gen_game,
     load_game,
     load_profile,
@@ -160,10 +161,10 @@ _DIGEST_LEN = len("sha256:") + 64
 
 
 class _DigestChild:
-    """A forked child that computes ``game_digest(spec)`` and writes it
-    to a pipe, so the digest overlaps the parent's solve."""
+    """A forked child that computes the digest of a parsed game file and
+    writes it to a pipe, so the digest overlaps the parent's work."""
 
-    def __init__(self, spec):
+    def __init__(self, doc):
         """Raises :class:`OSError` when the pipe or the fork fails."""
         fd, wfd = os.pipe()
         try:
@@ -173,7 +174,7 @@ class _DigestChild:
             os.close(wfd)
             raise
         if pid == 0:
-            _write_digest(spec, wfd)
+            _write_digest(doc, wfd)
         os.close(wfd)
         self.pid, self.fd = pid, fd
 
@@ -203,13 +204,13 @@ class _DigestChild:
                 pass
 
 
-def _write_digest(spec, fd: int) -> NoReturn:
+def _write_digest(doc, fd: int) -> NoReturn:
     """The child's whole run: ``os._exit`` flushes no stdio buffer and
     runs no exit handler, and it ends the child whatever is raised, so
     no exception unwinds into the parent's code."""
     code = 1
     try:
-        data = game_digest(spec).encode()
+        data = _document_digest(doc).encode()
         while data:
             data = data[os.write(fd, data):]
         code = 0
@@ -217,25 +218,35 @@ def _write_digest(spec, fd: int) -> NoReturn:
         os._exit(code)
 
 
-def _start_digest(spec) -> Optional[_DigestChild]:
+def _start_digest(doc) -> Optional[_DigestChild]:
     """A digest child for a large game, or None: the digest is then
     computed inline, as on small games and where fork is missing or
-    fails."""
+    fails.  The unchecked document's size is read without raising."""
+    game = doc if isinstance(doc, dict) else {}
+    nodes, players = game.get("nodes"), game.get("players")
     if (
         not hasattr(os, "fork")
-        or spec.tree.n_nodes * spec.n_players < _FORK_MIN_VALUES
+        or type(nodes) is not list
+        or type(players) is not int
+        or len(nodes) * players < _FORK_MIN_VALUES
     ):
         return None
     try:
-        return _DigestChild(spec)
+        return _DigestChild(doc)
     except OSError:
         return None
 
 
 def _cmd_solve(args) -> int:
-    spec = load_game(args.game)
-    child = _start_digest(spec) if args.report else None
+    child: Optional[_DigestChild] = None
+
+    def start_digest(doc) -> None:
+        nonlocal child
+        child = _start_digest(doc)
+
     try:
+        spec = load_game(args.game,
+                         _parsed=start_digest if args.report else None)
         return _solve(args, spec, child)
     finally:
         if child is not None:

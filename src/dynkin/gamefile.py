@@ -10,7 +10,8 @@ write to a regular file goes through a temp file and an atomic rename.
 Only this module knows the format: :func:`canonical_bytes` writes any
 document, and the game writer adds one node template to it;
 :func:`save_game` writes those bytes and :func:`game_digest` hashes
-them in chunks, so the digest never holds the whole document.
+them in chunks, so the digest never holds the whole document.  The
+writer takes a game's fields, so a parsed document can be hashed too.
 
 Errors are split into two kinds so callers can map them to distinct
 exit codes: :class:`GameParseError` for undecodable or mistyped
@@ -20,12 +21,14 @@ that describe an invalid tree or game.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import random
 import stat
-from typing import Sequence
+from operator import eq, itemgetter
+from typing import Callable, Optional, Sequence
 
 from .game import GameError, GameSpec
 from .tree import ScenarioTree, StoppingTime, TreeError, _number, canonicalize
@@ -79,9 +82,20 @@ def _read_json(path: str):
         raise GameParseError(f"{path}: cannot decode JSON: {exc}") from exc
 
 
-def load_game(path: str) -> GameSpec:
-    """Load and structurally validate a game file."""
-    return game_from_document(_read_json(path), where=path)
+def load_game(path: str, *, _parsed: Optional[Callable] = None) -> GameSpec:
+    """Load and structurally validate a game file.  ``_parsed`` is called
+    with the parsed document before the spec is built from it.  The
+    cyclic collector is paused meanwhile: neither holds a cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = _read_json(path)
+        if _parsed is not None:
+            _parsed(doc)
+        return game_from_document(doc, where=path)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def game_from_document(doc, where: str = "game document") -> GameSpec:
@@ -99,31 +113,7 @@ def game_from_document(doc, where: str = "game document") -> GameSpec:
             f"{where}: horizon must be >= 1, got {horizon}"
         )
 
-    parents: list = []
-    probs: list = []
-    for k, entry in enumerate(nodes):
-        if not isinstance(entry, dict):
-            raise GameParseError(f"{where}: nodes[{k}] must be an object")
-        node_id = _require(entry, "id", int, f"{where}: nodes[{k}]")
-        if node_id != k:
-            raise GameStructureError(
-                f"{where}: nodes[{k}] has id {node_id}, ids must be "
-                "0..K-1 in order"
-            )
-        if "parent" not in entry:
-            raise GameParseError(f"{where}: nodes[{k}]: missing field 'parent'")
-        parent = entry["parent"]
-        if parent is not None and (
-            isinstance(parent, bool) or not isinstance(parent, int)
-        ):
-            raise GameParseError(
-                f"{where}: nodes[{k}]: field 'parent' must be an integer "
-                "or null"
-            )
-        p = _require(entry, "p", float, f"{where}: nodes[{k}]")
-        parents.append(parent)
-        probs.append(p)
-
+    parents, probs = _node_fields(nodes, where)
     try:
         tree = ScenarioTree(parents, probs, horizon=horizon)
     except TreeError as exc:
@@ -161,6 +151,48 @@ def game_from_document(doc, where: str = "game document") -> GameSpec:
     except GameFileError:
         _check_numbers(shaped, where)
         raise
+
+
+def _node_fields(nodes: list, where: str) -> tuple[list, list]:
+    """The nodes' parents and float probabilities: checked as whole
+    arrays, and node by node only to name the first fault."""
+    get_id = itemgetter("id")  # no list of ids: it raises peak memory
+    try:
+        parents, probs = (
+            list(map(itemgetter(key), nodes)) for key in ("parent", "p")
+        )
+        in_order = set(map(type, map(get_id, nodes))) <= {int} and all(
+            map(eq, map(get_id, nodes), range(len(nodes))))
+    except (KeyError, TypeError):  # a missing field or a non-object node
+        pass
+    else:
+        if (set(map(type, nodes)) <= {dict} and in_order
+                and set(map(type, parents)) <= {int, type(None)}
+                and set(map(type, probs)) <= {float}):
+            return parents, probs
+    parents, probs = [], []
+    for k, entry in enumerate(nodes):
+        if not isinstance(entry, dict):
+            raise GameParseError(f"{where}: nodes[{k}] must be an object")
+        node_id = _require(entry, "id", int, f"{where}: nodes[{k}]")
+        if node_id != k:
+            raise GameStructureError(
+                f"{where}: nodes[{k}] has id {node_id}, ids must be "
+                "0..K-1 in order"
+            )
+        if "parent" not in entry:
+            raise GameParseError(f"{where}: nodes[{k}]: missing field 'parent'")
+        parent = entry["parent"]
+        if parent is not None and (
+            isinstance(parent, bool) or not isinstance(parent, int)
+        ):
+            raise GameParseError(
+                f"{where}: nodes[{k}]: field 'parent' must be an integer "
+                "or null"
+            )
+        parents.append(parent)
+        probs.append(_require(entry, "p", float, f"{where}: nodes[{k}]"))
+    return parents, probs
 
 
 def _check_numbers(shaped, where: str) -> None:
@@ -217,29 +249,54 @@ def canonical_bytes(doc) -> bytes:
 _NODE = '\n    {\n      "id": %d,\n      "p": %r,\n      "parent": %s\n    }'
 
 
-def _game_chunks(spec: GameSpec):
-    """Yield ``canonical_bytes`` of ``spec``'s game file as text pieces.
-    Only the nodes come from a template (``%r`` is the float repr
-    ``json`` writes): as dicts through :func:`_canonical`, the 131,071
-    nodes of a depth-16 binary tree take 5 to 9 times as long."""
-    tree = spec.tree
-    parents, probs, n = tree.parents, tree.cond_probs, tree.n_nodes
-    yield '{\n  "horizon": %d,\n  "nodes": [' % tree.horizon
-    for a in range(0, n, _PIECE):
+def _game_chunks(horizon, players, parents, probs, X, Q, Y):
+    """Yield ``canonical_bytes`` of the game file with these fields as
+    text pieces.  Only the nodes come from a template (``%r`` is the
+    float repr ``json`` writes): as dicts through :func:`_canonical`, the
+    131,071 nodes of a depth-16 binary tree take 5 to 9 times as long."""
+    yield '{\n  "horizon": %d,\n  "nodes": [' % horizon
+    for a in range(0, len(parents), _PIECE):
         yield ("," if a else "") + ",".join([
             _NODE % (v, probs[v], "null" if parents[v] is None else parents[v])
-            for v in range(a, min(a + _PIECE, n))
+            for v in range(a, min(a + _PIECE, len(parents)))
         ])
-    yield '\n  ],\n  "players": %d,\n  "processes": ' % spec.n_players
-    yield from _canonical({"Q": spec.Q, "X": spec.X, "Y": spec.Y}, "\n  ")
+    yield '\n  ],\n  "players": %d,\n  "processes": ' % players
+    yield from _canonical({"Q": Q, "X": X, "Y": Y}, "\n  ")
     yield "\n}\n"
 
 
-def game_digest(spec: GameSpec) -> str:
+def _spec_fields(spec: GameSpec) -> tuple:
+    tree = spec.tree
+    return (tree.horizon, spec.n_players, tree.parents, tree.cond_probs,
+            spec.X, spec.Q, spec.Y)
+
+
+def _sha256(chunks) -> str:
     digest = hashlib.sha256()
-    for chunk in _game_chunks(spec):
+    for chunk in chunks:
         digest.update(chunk.encode("utf-8"))
     return "sha256:" + digest.hexdigest()
+
+
+def game_digest(spec: GameSpec) -> str:
+    return _sha256(_game_chunks(*_spec_fields(spec)))
+
+
+def _document_digest(doc) -> str:
+    """``game_digest`` of the spec built from ``doc``, a parsed game file.
+    Raises unless every value has the type the spec keeps it as (an int
+    payoff, say, would become a float)."""
+    horizon, players, nodes = doc["horizon"], doc["players"], doc["nodes"]
+    parents = list(map(itemgetter("parent"), nodes))
+    probs = list(map(itemgetter("p"), nodes))
+    X, Q, Y = (doc["processes"][name] for name in ("X", "Q", "Y"))
+    if not (type(horizon) is type(players) is int
+            and set(map(type, parents)) <= {int, type(None)}
+            and set(map(type, probs)) <= {float}
+            and all(set(map(type, values)) <= {float}
+                    for arrays in (X, Q, Y) for values in arrays)):
+        raise ValueError("a game value is not of the type the spec keeps")
+    return _sha256(_game_chunks(horizon, players, parents, probs, X, Q, Y))
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -278,7 +335,8 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def save_game(spec: GameSpec, path: str) -> None:
-    atomic_write_bytes(path, "".join(_game_chunks(spec)).encode("utf-8"))
+    text = "".join(_game_chunks(*_spec_fields(spec)))
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def load_profile(path: str, tree: ScenarioTree, players: int) -> list[StoppingTime]:

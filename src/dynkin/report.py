@@ -73,7 +73,8 @@ def solve_and_certify(
 ) -> CertifiedRun:
     """Validate assumptions, run the iteration, audit every recorded
     update, and certify the candidate.  Raises
-    :class:`~dynkin.game.AssumptionError` on invalid games."""
+    :class:`~dynkin.game.AssumptionError` on invalid games, and
+    :class:`ValueError` on a negative ``max_rounds``."""
     assumptions = validate_assumptions(spec, strict_tol=strict_tol)
     if not assumptions.passed:
         raise AssumptionError(assumptions)

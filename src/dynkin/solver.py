@@ -272,10 +272,13 @@ def run(
     """Iterate full rounds until a round changes nothing.
 
     Non-convergence within ``max_rounds`` is reported through the
-    candidate's ``converged`` flag, never silently.
+    candidate's ``converged`` flag, never silently.  A negative
+    ``max_rounds`` raises :class:`ValueError`.
     """
     if max_rounds is None:
         max_rounds = default_round_bound(spec)
+    elif max_rounds < 0:
+        raise ValueError(f"max_rounds must be at least 0, got {max_rounds}")
     state = init_state(spec)
     caches: dict = {}
 

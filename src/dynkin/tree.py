@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 PROB_TOL = 1e-12
@@ -69,6 +70,9 @@ class ScenarioTree:
         Optional declared horizon; checked against the tree if given.
         Every leaf must sit at this depth and it must be at least 1.
 
+    The parents and probabilities are checked as whole arrays; a
+    node-by-node loop runs only to name the first fault.
+
     ``internal`` holds the internal node ids in decreasing order, every
     child before its parent: the package's one bottom-up order.
     """
@@ -105,32 +109,40 @@ class ScenarioTree:
             raise TreeError("a tree needs at least a root and one leaf")
         if parents[0] is not None:
             raise TreeError("node 0 must be the root (parent None)")
-        for v in range(1, n):
-            p = parents[v]
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise TreeError(f"node {v}: parent must be an integer id")
-            if not 0 <= p < v:
-                raise TreeError(
-                    f"node {v}: parent {p} does not precede it "
-                    "(ids must be topological)"
-                )
-        for v, p in enumerate(probs):
-            if p is None:
-                raise TreeError(f"node {v}: cond_prob {raw[v]!r} not a number")
-            if not math.isfinite(p) or not 0.0 < p <= 1.0:
-                raise TreeError(f"node {v}: cond_prob {p!r} not in (0, 1]")
-        if abs(probs[0] - 1.0) > PROB_TOL:
-            raise TreeError(f"root cond_prob must be 1, got {probs[0]!r}")
-
         # One int object per id, shared by ``children``, ``leaves`` and
         # ``depth``.
         ids = list(range(n))
+        # the parents after the root, uncopied: a copy raises peak memory
+        if not (set(map(type, islice(parents, 1, n))) <= {int}
+                and min(islice(parents, 1, n)) >= 0
+                and all(map(operator.lt, islice(parents, 1, n), range(1, n)))):
+            for v in ids[1:]:
+                p = parents[v]
+                if not isinstance(p, int) or isinstance(p, bool):
+                    raise TreeError(f"node {v}: parent must be an integer id")
+                if not 0 <= p < v:
+                    raise TreeError(
+                        f"node {v}: parent {p} does not precede it "
+                        "(ids must be topological)"
+                    )
+        if not (floats and all(map((0.0).__lt__, probs))
+                and all(map((1.0).__ge__, probs))):  # NaN fails both
+            for v, p in enumerate(probs):
+                if p is None:
+                    raise TreeError(
+                        f"node {v}: cond_prob {raw[v]!r} not a number"
+                    )
+                if not math.isfinite(p) or not 0.0 < p <= 1.0:
+                    raise TreeError(f"node {v}: cond_prob {p!r} not in (0, 1]")
+        if abs(probs[0] - 1.0) > PROB_TOL:
+            raise TreeError(f"root cond_prob must be 1, got {probs[0]!r}")
+
         kids: list[list[int]] = [[] for _ in ids]
         for v in ids[1:]:
             kids[parents[v]].append(v)
-        for v in range(n):
-            if kids[v]:
-                s = math.fsum(probs[c] for c in kids[v])
+        for v, c in enumerate(kids):
+            if c:
+                s = math.fsum(map(probs.__getitem__, c))
                 if abs(s - 1.0) > PROB_TOL:
                     raise TreeError(
                         f"children of node {v} have cond_prob sum {s!r}, "

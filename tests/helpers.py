@@ -11,7 +11,8 @@ against, and the leaf-branching envelope, stopping-time count and
 enumeration the kernels over ``tree.internal`` are checked against,
 the full-recomputation solver update and run the cached solver is
 checked against, and the node-by-node assumption check the whole-array
-one is checked against.
+one is checked against, and the node-by-node loader and tree checks
+the whole-array ones are checked against.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dynkin import (
     make_candidate,
     min_stop,
 )
+from dynkin.gamefile import GameParseError, GameStructureError, _require
 from dynkin.game import (
     A3Violation,
     A4Violation,
@@ -49,9 +51,11 @@ from dynkin.game import (
 from dynkin.snell import EQ_TOL, SnellResult
 from dynkin.tree import (
     DEFAULT_ENUM_CAP,
+    PROB_TOL,
     EnumerationCapError,
     _check_process,
     _check_stop,
+    _number,
 )
 from dynkin.verify import BRUTE_TIE_TOL
 
@@ -553,3 +557,97 @@ def reference_validate_assumptions(
         ]
         a4.extend(A4Violation(v, i, j) for i in triggers for j in blockers)
     return AssumptionReport(tuple(a3), tuple(a4), strict_tol)
+
+
+def reference_node_fields(nodes: list, where: str) -> tuple[list, list]:
+    """The game loader's node list check, node by node: the parents and
+    the probabilities (each a float), or the first fault raised."""
+    parents: list = []
+    probs: list = []
+    for k, entry in enumerate(nodes):
+        if not isinstance(entry, dict):
+            raise GameParseError(f"{where}: nodes[{k}] must be an object")
+        node_id = _require(entry, "id", int, f"{where}: nodes[{k}]")
+        if node_id != k:
+            raise GameStructureError(
+                f"{where}: nodes[{k}] has id {node_id}, ids must be "
+                "0..K-1 in order"
+            )
+        if "parent" not in entry:
+            raise GameParseError(f"{where}: nodes[{k}]: missing field 'parent'")
+        parent = entry["parent"]
+        if parent is not None and (
+            isinstance(parent, bool) or not isinstance(parent, int)
+        ):
+            raise GameParseError(
+                f"{where}: nodes[{k}]: field 'parent' must be an integer "
+                "or null"
+            )
+        p = _require(entry, "p", float, f"{where}: nodes[{k}]")
+        parents.append(parent)
+        probs.append(p)
+    return parents, probs
+
+
+def reference_tree_checks(parents, cond_probs, horizon=None) -> None:
+    """Every check ``ScenarioTree`` makes, node by node and in its order;
+    raises the first fault as a :class:`TreeError`."""
+    parents = tuple(parents)
+    raw = tuple(cond_probs)
+    probs = tuple(map(_number, raw))
+    n = len(parents)
+    if n != len(probs):
+        raise TreeError(
+            f"{n} parent entries but {len(probs)} probability entries"
+        )
+    if n < 2:
+        raise TreeError("a tree needs at least a root and one leaf")
+    if parents[0] is not None:
+        raise TreeError("node 0 must be the root (parent None)")
+    for v in range(1, n):
+        p = parents[v]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TreeError(f"node {v}: parent must be an integer id")
+        if not 0 <= p < v:
+            raise TreeError(
+                f"node {v}: parent {p} does not precede it "
+                "(ids must be topological)"
+            )
+    for v, p in enumerate(probs):
+        if p is None:
+            raise TreeError(f"node {v}: cond_prob {raw[v]!r} not a number")
+        if not math.isfinite(p) or not 0.0 < p <= 1.0:
+            raise TreeError(f"node {v}: cond_prob {p!r} not in (0, 1]")
+    if abs(probs[0] - 1.0) > PROB_TOL:
+        raise TreeError(f"root cond_prob must be 1, got {probs[0]!r}")
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[parents[v]].append(v)
+    for v in range(n):
+        if kids[v]:
+            s = math.fsum(probs[c] for c in kids[v])
+            if abs(s - 1.0) > PROB_TOL:
+                raise TreeError(
+                    f"children of node {v} have cond_prob sum {s!r}, "
+                    "expected 1"
+                )
+    depth = [0] * n
+    for v in range(1, n):
+        depth[v] = depth[parents[v]] + 1
+    leaves = [v for v in range(n) if not kids[v]]
+    m = depth[leaves[0]]
+    for v in leaves:
+        if depth[v] != m:
+            deeper = v if depth[v] > m else leaves[0]
+            other = leaves[0] if deeper == v else v
+            raise TreeError(
+                f"leaf {other} at depth {depth[other]} but leaf "
+                f"{deeper} at depth {depth[deeper]}: all leaves must "
+                "share one horizon"
+            )
+    if horizon is not None and horizon != m:
+        raise TreeError(
+            f"declared horizon {horizon} but leaves sit at depth {m}"
+        )
+    if m < 1:
+        raise TreeError("horizon must be at least 1")

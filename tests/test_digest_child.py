@@ -12,9 +12,11 @@ import sys
 
 import pytest
 
-from dynkin import cli, demo_constant, gen_game, save_game
+from dynkin import cli, demo_constant, gen_game, load_game, save_game
+from dynkin import gamefile
 from dynkin import report as report_module
 from helpers import game_document
+from test_cli_inputs import GAME_MUTATIONS
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
@@ -147,19 +149,20 @@ def _pipe_fails():
     raise OSError(errno.EMFILE, "no descriptors left")
 
 
-def _child_raises(spec):
+def _child_raises(doc):
     raise RuntimeError("digest failed in the child")
 
 
-def _child_writes_too_little(spec):
+def _child_writes_too_little(doc):
     return "sha256:"
 
 
 FAILURES = {
     "fork_raises": (os, "fork", _fork_fails),
     "pipe_raises": (os, "pipe", _pipe_fails),
-    "child_raises": (cli, "game_digest", _child_raises),
-    "child_writes_too_little": (cli, "game_digest", _child_writes_too_little),
+    "child_raises": (cli, "_document_digest", _child_raises),
+    "child_writes_too_little": (cli, "_document_digest",
+                                _child_writes_too_little),
 }
 
 
@@ -218,3 +221,74 @@ def test_command_line_solve_above_the_threshold(tmp_path, capfd, monkeypatch):
                   _without_timestamp(fh.read()))
     code, out, err, data = _inline(monkeypatch, capfd, ["solve", path], report)
     assert forked == (code, out.encode(), err.encode(), data)
+
+
+def test_the_child_starts_before_the_spec_is_built(tmp_path, capfd,
+                                                   monkeypatch):
+    path = str(tmp_path / "game.json")
+    save_game(gen_game(2, 3, 2, seed=1), path)
+    monkeypatch.setattr(cli, "_FORK_MIN_VALUES", 0)
+    forks = _count_forks(monkeypatch)
+    build = gamefile.game_from_document
+    forks_at_build = []
+
+    def recording_build(*args, **kwargs):
+        forks_at_build.append(len(forks))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(gamefile, "game_from_document", recording_build)
+    code, _, err, _ = _solve(capfd, ["solve", path],
+                             str(tmp_path / "report.json"))
+    assert (code, err, forks_at_build) == (0, "", [1])
+
+
+@pytest.mark.parametrize("name", sorted(GAME_MUTATIONS))
+def test_malformed_documents_on_the_forked_path(tmp_path, capfd, monkeypatch,
+                                                name):
+    doc = game_document(gen_game(2, 2, 2, seed=5, mode="touching"))
+    path = tmp_path / "mutated.json"
+    path.write_bytes(GAME_MUTATIONS[name](doc))
+    argv = ["solve", str(path)]
+    report = str(tmp_path / "report.json")
+    inline = _inline(monkeypatch, capfd, argv, report)
+    assert inline[0] in (1, 2)
+    monkeypatch.setattr(cli, "_FORK_MIN_VALUES", 0)
+    assert _solve(capfd, argv, report) == inline
+
+
+def _large(make_doc):
+    """A game document at or above the real fork threshold."""
+    doc = make_doc(gen_game(3, 10, 2, seed=12, mode="touching"))
+    assert len(doc["nodes"]) * doc["players"] >= cli._FORK_MIN_VALUES
+    return doc
+
+
+def _large_order_violation(spec):
+    doc = game_document(spec)
+    doc["processes"]["X"][1][0] = doc["processes"]["Q"][1][0] + 1.0
+    return doc
+
+
+def _large_int_payoff(spec):
+    """A valid game with one int payoff, which the spec keeps as a float:
+    the child must decline it, or the report's digest would differ."""
+    doc = game_document(spec)
+    doc["processes"]["X"][2][7] = 0
+    return doc
+
+
+@pytest.mark.parametrize("make, code", [
+    (_large_order_violation, 2),
+    (_large_int_payoff, 0),
+], ids=["order_violation", "int_payoff"])
+def test_large_invalid_or_declined_documents(tmp_path, capfd, monkeypatch,
+                                             make, code):
+    path = _write(tmp_path, _large(make))
+    report = str(tmp_path / "report.json")
+    forks = _count_forks(monkeypatch)
+    forked = _solve(capfd, ["solve", path], report)
+    assert forked[0] == code and len(forks) == 1
+    if code == 0:
+        want = report_module.game_digest(load_game(path))
+        assert f'"input_digest": "{want}"'.encode() in forked[3]
+    assert _inline(monkeypatch, capfd, ["solve", path], report) == forked

@@ -1,6 +1,8 @@
 """Game file round trips, canonical bytes, generation, negative
 controls."""
 
+import copy
+import gc
 import hashlib
 import json
 import math
@@ -16,6 +18,8 @@ from dynkin import (
     GameParseError,
     GameSpec,
     GameStructureError,
+    ScenarioTree,
+    TreeError,
     canonicalize,
     demo_constant,
     gen_game,
@@ -28,7 +32,9 @@ from dynkin import (
 )
 from dynkin.gamefile import (
     _PIECE,
+    _document_digest,
     _game_chunks,
+    _spec_fields,
     canonical_bytes,
     game_digest,
     game_from_document,
@@ -38,6 +44,8 @@ from helpers import (
     game_document,
     random_tree,
     reference_canonical_bytes,
+    reference_node_fields,
+    reference_tree_checks,
     relabeled_game,
 )
 
@@ -57,7 +65,7 @@ def _reference_bytes(spec) -> bytes:
 
 
 def _written_bytes(spec) -> bytes:
-    return "".join(_game_chunks(spec)).encode("utf-8")
+    return "".join(_game_chunks(*_spec_fields(spec))).encode("utf-8")
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 1e300, -1e300, 5.0,
@@ -381,3 +389,145 @@ def test_profile_rejects_unknown_node(tmp_path):
     path.write_text("[[0], [99]]")
     with pytest.raises(GameStructureError):
         load_profile(str(path), spec.tree, 2)
+
+
+M = 1.7976931348623157e308  # the largest float
+
+
+def _parsed(spec) -> dict:
+    """``spec``'s game file as ``json.load`` returns it."""
+    return json.loads(canonical_bytes(game_document(spec)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_games())
+@example(GameSpec(chain_tree(2), *([[-0.0, 5e-324, -M]] * 2,) * 3))
+def test_the_document_digest_is_the_specs(spec):
+    doc = _parsed(spec)
+    assert _document_digest(doc) == game_digest(game_from_document(doc))
+    assert _document_digest(doc) == game_digest(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_games(), st.data())
+def test_the_document_digest_declines_other_types(spec, data):
+    """An int ``p`` or payoff would be written as a float by the spec, and
+    a bool is no game value: the document route refuses both."""
+    doc = _parsed(spec)
+    nodes = doc["nodes"]
+    target = data.draw(st.sampled_from(["p", "parent", "X", "Q", "Y"]))
+    if target in ("p", "parent"):
+        values = nodes[data.draw(st.integers(target == "parent",
+                                             len(nodes) - 1))]
+        key = target
+    else:
+        values = data.draw(st.sampled_from(doc["processes"][target]))
+        key = data.draw(st.integers(0, len(values) - 1))
+    others = [True, False] + ([] if target == "parent" else [int(values[key])])
+    values[key] = data.draw(st.sampled_from(others))
+    with pytest.raises(ValueError):
+        _document_digest(doc)
+
+
+# One corruption of a node field: (field, value); a value of ``KeyError``
+# deletes the field.
+MISSING = KeyError
+NODE_VALUES = [MISSING, True, False, None, 0, 1, 2, -1, -3, 0.0, 1.0, 0.5,
+               1.5, -0.5, math.nan, math.inf, "1", [0]]
+_DEPTH6 = game_document(gen_game(2, 6, 2, seed=21, mode="touching"))
+
+
+@st.composite
+def corrupted_nodes(draw):
+    nodes = copy.deepcopy(_DEPTH6["nodes"])
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, len(nodes) - 1))
+        field = draw(st.sampled_from(["id", "parent", "p"]))
+        value = draw(st.one_of(
+            st.sampled_from(NODE_VALUES),
+            # an id out of order, a parent at or after the node, a float id
+            st.sampled_from([k - 1, k + 1, k, float(k), k + 0.5]),
+        ))
+        if value is MISSING:
+            nodes[k].pop(field, None)
+        else:
+            nodes[k][field] = value
+    return nodes
+
+
+def _outcome(call, *args, **kwargs):
+    """The exception class and message ``call`` raises, or None."""
+    try:
+        call(*args, **kwargs)
+    except (GameParseError, GameStructureError, TreeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _reference_load(nodes):
+    where = "game document"
+    parents, probs = reference_node_fields(nodes, where)
+    try:
+        reference_tree_checks(parents, probs, horizon=6)
+    except TreeError as exc:
+        raise GameStructureError(f"{where}: {exc}") from exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_nodes())
+def test_the_loader_names_the_references_first_fault(nodes):
+    doc = dict(_DEPTH6, nodes=nodes)
+    assert _outcome(game_from_document, doc) == _outcome(_reference_load,
+                                                         nodes)
+    # the tree checks on their own, with a missing field as None
+    parents = [node.get("parent") for node in nodes]
+    probs = [node.get("p") for node in nodes]
+    assert _outcome(ScenarioTree, parents, probs, horizon=6) == _outcome(
+        reference_tree_checks, parents, probs, horizon=6)
+
+
+def test_uncorrupted_nodes_load():
+    assert _outcome(game_from_document, _DEPTH6) is None
+    assert _outcome(_reference_load, _DEPTH6["nodes"]) is None
+
+
+def _bad_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    return str(path), GameParseError
+
+
+def _invalid_game(tmp_path):
+    doc = game_document(demo_constant(2, 1, 2))
+    doc["nodes"][2]["p"] = 0.4
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    return str(path), GameStructureError
+
+
+def _good_game(tmp_path):
+    path = tmp_path / "good.json"
+    save_game(demo_constant(2, 1, 2), str(path))
+    return str(path), None
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("make", [_good_game, _bad_json, _invalid_game],
+                         ids=["ok", "bad_json", "invalid"])
+def test_load_game_leaves_the_collector_as_it_found_it(tmp_path, enabled,
+                                                      make):
+    path, error = make(tmp_path)
+    paused = []
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        try:
+            load_game(path, _parsed=lambda doc: paused.append(gc.isenabled()))
+        except (GameParseError, GameStructureError) as exc:
+            assert type(exc) is error
+        else:
+            assert error is None
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == ([] if error is GameParseError else [False])

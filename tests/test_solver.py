@@ -25,6 +25,7 @@ from dynkin import (
     payoff,
     run,
     snell_envelope,
+    solve_and_certify,
     solver,
     step,
     verify_nash,
@@ -145,6 +146,13 @@ def test_non_convergence_is_reported_not_raised():
     cand, _ = run(spec, max_rounds=0)
     assert not cand.converged
     assert cand.rounds_used == 0
+
+
+@pytest.mark.parametrize("call", [run, solve_and_certify])
+def test_a_negative_round_budget_is_refused(call):
+    with pytest.raises(ValueError, match=r"max_rounds must be at least 0, "
+                                         r"got -5$"):
+        call(demo_constant(2, 2, 2), max_rounds=-5)
 
 
 def test_stopping_times_shrink_along_the_trace():
