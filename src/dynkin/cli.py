@@ -8,7 +8,7 @@ On a large game, ``solve --report`` computes the report's input digest
 in a short-lived child process (where ``os.fork`` exists), started once
 the file is parsed, while it builds the spec and solves, and hands it to
 the one ``build_report`` call; the outputs do not change.
-``--max-rounds`` below 0 is a usage error.
+``--max-rounds`` or ``--cap`` below 0 is a usage error.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-def _round_budget(text: str) -> int:
-    """The ``--max-rounds`` value: an integer of at least 0."""
+def _at_least_zero(text: str) -> int:
+    """An integer of at least 0: ``--max-rounds`` and ``--cap``."""
     try:
         value = int(text)
     except ValueError:  # argparse's own message for ``type=int``
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the solver and certify the result")
     p.add_argument("game")
-    p.add_argument("--max-rounds", type=_round_budget, default=None)
+    p.add_argument("--max-rounds", type=_at_least_zero, default=None)
     p.add_argument("--tol", type=float, default=EQ_TOL)
     p.add_argument("--residual-tol", type=float, default=RESIDUAL_TOL)
     p.add_argument("--strict-tol", type=float, default=0.0)
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="player index, 0-based")
     p.add_argument("--profile", required=True,
                    help="profile file; the player's own entry is ignored")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--cap", type=_at_least_zero, default=DEFAULT_ENUM_CAP)
 
     p = sub.add_parser("gen", help="generate a seeded random game")
     p.add_argument("out")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 PROB_TOL = 1e-12
@@ -142,7 +142,9 @@ class ScenarioTree:
             kids[parents[v]].append(v)
         for v, c in enumerate(kids):
             if c:
-                s = math.fsum(map(probs.__getitem__, c))
+                # one child: its probability, already checked finite
+                s = probs[c[0]] if len(c) == 1 else math.fsum(
+                    map(probs.__getitem__, c))
                 if abs(s - 1.0) > PROB_TOL:
                     raise TreeError(
                         f"children of node {v} have cond_prob sum {s!r}, "
@@ -379,13 +381,18 @@ def leq(first: StoppingTime, second: StoppingTime) -> bool:
 
 def count_stopping_times(tree: ScenarioTree) -> int:
     """Number of canonical stopping times the tree admits."""
+    return _stop_counts(tree)[0]
+
+
+def _stop_counts(tree: ScenarioTree) -> list[int]:
+    """Per node, the number of canonical stopping times of its subtree."""
     s = [1] * tree.n_nodes
     for v in tree.internal:
         prod = 1
         for c in tree.children[v]:
             prod *= s[c]
         s[v] = 1 + prod
-    return s[0]
+    return s
 
 
 def enumerate_stopping_times(
@@ -409,21 +416,28 @@ def _depth_first_stops(
     if total > cap:
         raise EnumerationCapError(total, cap)
 
-    # Per node, its subtree's times as per-leaf stops over its leaves in
-    # depth-first order, built over ``tree.internal`` from the leaves; a
-    # child's list is dropped once its parent used it.  Children are
-    # joined one at a time, in product order (last child fastest).
-    options = {leaf: [(leaf,)] for leaf in tree.leaves}
-    for v in tree.internal:
+    # At v, every leaf below stops at v.
+    stops = _joined(
+        tree, lambda v, combos: (v,) * (len(combos[0]) if combos else 1)
+    )
+    # ``tree.leaves`` need not list the leaves depth-first.
+    where = {leaf: k for k, leaf in enumerate(stops[-1])}
+    return stops, [where[leaf] for leaf in tree.leaves]
+
+
+def _joined(tree: ScenarioTree, own) -> list:
+    """One value per canonical stopping time, in enumeration order: per
+    node from the leaves up, ``own(v, combos)`` (stop at v), then
+    ``combos``, the children's lists joined with ``+`` in product order
+    (last child fastest), empty at a leaf.  Lists are kept in reverse,
+    which the product keeps, so a lone child's list grows in place."""
+    options = {}
+    for v in chain(tree.leaves, tree.internal):
         kids = tree.children[v]
-        combos = options.pop(kids[0])
+        combos = options.pop(kids[0]) if kids else []
         for c in kids[1:]:
             more = options.pop(c)
             combos = [a + b for a in combos for b in more]
-        # first, stop at v on every leaf below
-        options[v] = [(v,) * len(combos[0]), *combos]
-
-    # ``tree.leaves`` need not list the leaves depth-first.
-    stops = options[0]
-    where = {leaf: k for k, leaf in enumerate(stops[-1])}
-    return stops, [where[leaf] for leaf in tree.leaves]
+        combos.append(own(v, combos))
+        options[v] = combos
+    return options[0][::-1]

@@ -4,21 +4,18 @@ Two routes are kept deliberately separate: the envelope-based best
 response (fast, used for certificates) and a brute-force best response
 that enumerates every stopping time and evaluates raw payoffs (slow,
 used as an oracle against the fast route on small trees).  The oracle
-scores each enumerated time on its raw per-leaf stop tuple: per leaf,
-a table holds the leaf's probability times the raw X, Q or Y value
-collected at each node of its path against the opponents' earliest
-stop there, and a time scores the ``math.fsum`` of its entries, the
-correctly rounded sum :func:`~dynkin.game.payoff` also takes.  Only the
-maximizers become :class:`~dynkin.tree.StoppingTime` objects.  The
-witness's obstacles come from :func:`~dynkin.game.cutoff_obstacle`'s
-routine, as the solver's do.
+sums the terms :func:`~dynkin.game.payoff` sums (per leaf, its
+probability times the raw X, Q or Y value collected) exactly, as
+integers shared over subtrees, and rounds each time's sum once: each
+score is the value ``payoff`` gives the time.  The witness's obstacles
+come from :func:`~dynkin.game.cutoff_obstacle`'s routine, as the
+solver's do.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,19 +25,19 @@ from .game import (
     payoff,
     _collected,
     _cut_obstacle,
-    _fsum,
     _rival_time,
     _tie_gap,
 )
 from .snell import EQ_TOL, snell_envelope
 from .solver import EquilibriumCandidate
 from .tree import (
+    EnumerationCapError,
     StoppingTime,
     _check_stop,
-    _depth_first_stops,
     _first_on_path,
+    _joined,
     _marks,
-    min_stop,
+    _stop_counts,
     DEFAULT_ENUM_CAP,
 )
 
@@ -65,7 +62,7 @@ def brute_force_best_response(
 ) -> tuple[float, StoppingTime]:
     """Enumerate every stopping time and maximize the raw payoff.
 
-    Scores come from per-leaf tables (see the module docstring).  Ties
+    Scores are exact sums rounded once (see the module docstring).  Ties
     within ``BRUTE_TIE_TOL`` of the maximum are resolved toward the
     pathwise-smallest maximizer, matching the earliest-hit convention
     of the envelope route.
@@ -73,30 +70,59 @@ def brute_force_best_response(
     tree = spec.tree
     rival = _rival_time(spec, player, others)
     first = _first_on_path(tree, _marks(tree, rival.node_by_leaf))
-    stops, order = _depth_first_stops(tree, cap)
-    parents = tree.parents
-    tables = []
-    for leaf in stops[-1]:  # the leaves in depth-first order
+    counts = _stop_counts(tree)
+    if counts[0] > cap:
+        raise EnumerationCapError(counts[0], cap)
+    # Per node, the exact sum over its leaves of the terms for stopping
+    # there, as an integer at one power-of-two scale.
+    nodes, terms = [], []
+    for leaf in tree.leaves:
         path = [leaf]
         while path[-1]:
-            path.append(parents[path[-1]])
-        p = tree.prob[leaf]
+            path.append(tree.parents[path[-1]])
         vals = _collected(spec, player, path, itertools.repeat(first[leaf]))
-        tables.append({v: p * val for v, val in zip(path, vals)})
+        nodes += path
+        terms += [(tree.prob[leaf] * val).as_integer_ratio() for val in vals]
+    scale = max(den for _, den in terms)
+    stop = [0] * tree.n_nodes
+    for v, (num, den) in zip(nodes, terms):
+        stop[v] += num * (scale // den)
+    sums = _joined(tree, lambda v, _: stop[v])
+    # float(n) is correctly rounded and scaling it by 1 / scale exact:
+    # where the score is subnormal, n is below 2**52.
+    inv = 1 / scale
     try:
-        scores = [
-            math.fsum(map(operator.getitem, tables, nodes)) for nodes in stops
-        ]
-    except OverflowError:  # a sum passed the float range: ``payoff``'s rule
-        scores = [_fsum([*map(operator.getitem, tables, nodes)])
-                  for nodes in stops]
+        scores = [float(n) * inv for n in sums]
+    except OverflowError:  # beyond the float range, ``_fsum``'s rule:
+        top = (2**1024 - 2**970) * scale  # the least sum rounding to inf
+        scores = [n / scale if -top < n < top else
+                  math.inf if n > 0 else -math.inf for n in sums]
     best_val = max(scores)
-    winners = [
-        StoppingTime(tree, map(nodes.__getitem__, order))
-        for val, nodes in zip(scores, stops)
-        if val >= best_val - BRUTE_TIE_TOL
-    ]
-    return best_val, min_stop(*winners)
+
+    # The maximizers' pathwise minimum stops where one of them stops
+    # first.  Parents first, a node holds the distinct numbers, less
+    # ``done``, of the times reaching it: 0 stops there, any other is one
+    # more than the children's numbers in mixed radix (last child
+    # fastest).  A lone child takes the set as it is, with ``done`` + 1.
+    marked = bytearray(tree.n_nodes)
+    numbers = {0: (0, {k for k, val in enumerate(scores)
+                       if val >= best_val - BRUTE_TIE_TOL})}
+    for v in itertools.chain(reversed(tree.internal), tree.leaves):
+        done, ks = numbers.pop(v, (0, ()))
+        if done in ks:  # nothing below comes first
+            marked[v] = 1
+            continue
+        kids = tree.children[v]
+        if len(kids) == 1:
+            numbers[kids[0]] = (done + 1, ks)
+            continue
+        for k in ks:
+            k -= done + 1
+            for c in reversed(kids):
+                k, r = divmod(k, counts[c])
+                numbers.setdefault(c, (0, set()))[1].add(r)
+    cut = _first_on_path(tree, marked)
+    return best_val, StoppingTime(tree, map(cut.__getitem__, tree.leaves))
 
 
 @dataclass(frozen=True)

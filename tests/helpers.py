@@ -12,13 +12,16 @@ enumeration the kernels over ``tree.internal`` are checked against,
 the full-recomputation solver update and run the cached solver is
 checked against, and the node-by-node assumption check the whole-array
 one is checked against, and the node-by-node loader and tree checks
-the whole-array ones are checked against.
+the whole-array ones are checked against, and the table-and-``fsum``
+oracle the exact per-subtree one is checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import random
 from typing import Sequence
 
@@ -44,6 +47,8 @@ from dynkin.gamefile import GameParseError, GameStructureError, _require
 from dynkin.game import (
     A3Violation,
     A4Violation,
+    _collected,
+    _fsum,
     _insertion_payoff,
     _rival_time,
     _tie_gap,
@@ -55,9 +60,17 @@ from dynkin.tree import (
     EnumerationCapError,
     _check_process,
     _check_stop,
+    _depth_first_stops,
+    _first_on_path,
+    _marks,
     _number,
 )
 from dynkin.verify import BRUTE_TIE_TOL
+
+
+# Parents and probabilities of a tree whose sibling probabilities sum
+# to just above 1.
+BEYOND = ([None, 0, 0], [1.0, 0.5000000000001, 0.4999999999999999])
 
 
 def chain_tree(depth: int) -> ScenarioTree:
@@ -323,6 +336,43 @@ def reference_best_response(
     best_val = max(val for val, _ in scored)
     winners = [tau for val, tau in scored if val >= best_val - BRUTE_TIE_TOL]
     return best_val, min_stop_by_depth(*winners)
+
+
+def reference_table_best_response(
+    spec: GameSpec,
+    player: int,
+    others: Sequence[StoppingTime],
+    cap: int = DEFAULT_ENUM_CAP,
+) -> tuple[float, StoppingTime]:
+    """The oracle as it stood when each time scored the ``math.fsum`` of
+    per-leaf table entries, before exact per-subtree sums replaced it."""
+    tree = spec.tree
+    rival = _rival_time(spec, player, others)
+    first = _first_on_path(tree, _marks(tree, rival.node_by_leaf))
+    stops, order = _depth_first_stops(tree, cap)
+    parents = tree.parents
+    tables = []
+    for leaf in stops[-1]:  # the leaves in depth-first order
+        path = [leaf]
+        while path[-1]:
+            path.append(parents[path[-1]])
+        p = tree.prob[leaf]
+        vals = _collected(spec, player, path, itertools.repeat(first[leaf]))
+        tables.append({v: p * val for v, val in zip(path, vals)})
+    try:
+        scores = [
+            math.fsum(map(operator.getitem, tables, nodes)) for nodes in stops
+        ]
+    except OverflowError:  # a sum passed the float range: ``payoff``'s rule
+        scores = [_fsum([*map(operator.getitem, tables, nodes)])
+                  for nodes in stops]
+    best_val = max(scores)
+    winners = [
+        StoppingTime(tree, map(nodes.__getitem__, order))
+        for val, nodes in zip(scores, stops)
+        if val >= best_val - BRUTE_TIE_TOL
+    ]
+    return best_val, min_stop(*winners)
 
 
 # References for the bottom-up kernels as they stood when each walked

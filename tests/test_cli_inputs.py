@@ -9,7 +9,7 @@ import pytest
 
 from dynkin import gen_game, save_game
 from dynkin.cli import main
-from helpers import game_document
+from helpers import BEYOND, game_document
 
 DEEP = b"[" * 100_000 + b"]" * 100_000
 
@@ -204,10 +204,6 @@ def _uniform_doc(parents, probs, x, q, y):
         "processes": {k: [[val] * n] * 2
                       for k, val in (("X", x), ("Q", q), ("Y", y))},
     }
-
-
-# Sibling probabilities summing to just above 1.
-BEYOND = ([None, 0, 0], [1.0, 0.5000000000001, 0.4999999999999999])
 
 
 # Every input value is finite, but an expected payoff passes the float

@@ -320,6 +320,25 @@ def test_cli_oracle_cap_exit_code_on_a_huge_count(tmp_path, capsys):
     assert "at least 2**" in capsys.readouterr().err
 
 
+def test_cli_oracle_rejects_a_negative_cap(tmp_path, capsys):
+    spec = demo_constant(2, 2, 2)  # 5 stopping times
+    path = _game_file(tmp_path, spec)
+    prof_path = tmp_path / "profile.json"
+    save_profile([canonicalize([0], spec.tree)] * 2, str(prof_path))
+    argv = ["oracle", path, "--player", "0", "--profile", str(prof_path),
+            "--cap"]
+    assert main(argv + ["-5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --cap: must be at least 0, got -5" in err
+    for cap in ("0", "4"):
+        assert main(argv + [cap]) == 5
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "cap exceeded: tree admits 5 stopping times, which exceeds "
+            f"the enumeration cap of {cap}\n")
+    assert main(argv + ["5"]) == 0
+
+
 def test_cli_oracle_on_a_deep_chain(tmp_path, capsys):
     spec = demo_constant(2, 1500, 1)
     path = _game_file(tmp_path, spec)

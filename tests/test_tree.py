@@ -33,6 +33,7 @@ from helpers import (
     reference_count_stopping_times,
     reference_depth_first_stops,
     reference_snell_envelope,
+    reference_tree_checks,
     relabel,
 )
 
@@ -88,6 +89,21 @@ def test_tree_rejects_bad_prob_sum():
     with pytest.raises(TreeError) as exc:
         ScenarioTree([None, 0, 0], [1.0, 0.5, 0.4])
     assert "node 0" in str(exc.value)
+
+
+@pytest.mark.parametrize("parents, probs, node, total", [
+    ([None, 0, 1], [1.0, 0.5, 1.0], 0, 0.5),
+    ([None, 0, 1], [1.0, 1.0, 0.5], 1, 0.5),
+    ([None, 0, 1, 1], [1.0, 1.0, 0.5, 0.4], 1, 0.9),
+], ids=["one_child_at_the_root", "one_child_below", "two_children"])
+def test_sibling_sums_keep_the_reference_message(parents, probs, node,
+                                                 total):
+    with pytest.raises(TreeError) as exc:
+        ScenarioTree(parents, probs)
+    with pytest.raises(TreeError) as ref:
+        reference_tree_checks(parents, probs)
+    assert str(exc.value) == str(ref.value) == (
+        f"children of node {node} have cond_prob sum {total!r}, expected 1")
 
 
 def test_tree_rejects_uneven_leaves():

@@ -7,9 +7,14 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dynkin.verify
 from dynkin import (
+    EnumerationCapError,
     EquilibriumCandidate,
+    GameError,
     GameSpec,
     ScenarioTree,
     TreeError,
@@ -30,6 +35,7 @@ from dynkin import (
     verify_streamline,
 )
 from helpers import (
+    BEYOND,
     chain_tree,
     depth_first_leaves,
     depth_stop,
@@ -39,6 +45,7 @@ from helpers import (
     random_stop,
     random_tree,
     reference_best_response,
+    reference_table_best_response,
     relabel,
     strictly_before,
     triple_game,
@@ -153,6 +160,140 @@ def test_oracle_scores_sums_beyond_float_range_as_payoff_does():
         best, argmax = brute_force_best_response(spec, 0, [rival])
         assert best == max(values) == payoff(spec, 0, [argmax, rival])
     assert math.inf in values
+
+
+M = sys.float_info.max
+UNIFORM_SHAPES = ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3),
+                  (2, 4), (1, 6))
+# Per payoff kind, one value from a seeded generator.  "few" takes four
+# values, so many times tie; "huge" sits near the ends of the float range.
+PAYOFFS = {
+    "uniform": lambda rng: rng.random(),
+    "few": lambda rng: rng.randrange(4) / 4,
+    "subnormal": lambda rng: rng.choice((-1, 1)) * rng.randrange(1, 4096)
+    * 5e-324,
+    "huge": lambda rng: rng.choice((M, -M, M / 2, -M / 2,
+                                    M * (2 * rng.random() - 1))),
+    "mixed": lambda rng: rng.choice((0.0, -0.0, 5e-324, -2.5e-310, 1e-300,
+                                     -1e300, M, -M, rng.random())),
+}
+
+
+@st.composite
+def oracle_cases(draw):
+    """A game within the cap with 2-4 players and opponents to answer:
+    a seeded game, maybe touching, against its equilibrium or a random
+    profile, or a uniform, irregular, relabeled, chain or ``BEYOND``
+    tree with one payoff kind against random, root or horizon stops.
+    Payoffs of the seeded, uniform and few-valued games are scaled by
+    2**k for k in [-60, 60]."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    players = draw(st.integers(2, 4))
+    shape = draw(st.sampled_from(
+        ("seeded", "uniform", "irregular", "relabeled", "chain", "beyond")))
+    scale = math.ldexp(1.0, draw(st.integers(-60, 60)))
+    if shape == "seeded":
+        depth, branching = draw(st.sampled_from(UNIFORM_SHAPES))
+        spec = gen_game(players, depth, branching, rng.randrange(2**31),
+                        mode=draw(st.sampled_from(("strict", "touching"))))
+        spec = GameSpec(spec.tree, *(
+            [[scale * v for v in proc] for proc in procs]
+            for procs in (spec.X, spec.Q, spec.Y)
+        ))
+        if draw(st.booleans()):
+            return spec, run(spec)[0].T_star
+    else:
+        if shape == "uniform":
+            tree = ScenarioTree.uniform(*draw(st.sampled_from(UNIFORM_SHAPES)))
+        elif shape == "chain":
+            tree = chain_tree(rng.randint(1, 40))
+        elif shape == "beyond":
+            tree = ScenarioTree(*BEYOND)
+        else:
+            tree = random_tree(rng)
+            if shape == "relabeled":
+                tree = relabel(tree, rng)[0]
+        kind = draw(st.sampled_from(sorted(PAYOFFS)))
+        factor = scale if kind in ("uniform", "few") else 1.0
+        value = PAYOFFS[kind]
+        spec = GameSpec(tree, *(
+            [[factor * value(rng) for _ in range(tree.n_nodes)]
+             for _ in range(players)]
+            for _ in "XQY"
+        ))
+    stops = draw(st.sampled_from(("random", "root", "horizon")))
+    if stops == "random":
+        p = draw(st.sampled_from((0.15, 0.4)))
+        return spec, tuple(random_stop(rng, spec.tree, p)
+                           for _ in range(players))
+    tau = (canonicalize([0], spec.tree) if stops == "root"
+           else horizon_stop(spec.tree))
+    return spec, (tau,) * players
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_oracle_matches_the_table_reference_bit_for_bit(case):
+    spec, profile = case
+    for i in range(spec.n_players):
+        others = profile[:i] + profile[i + 1:]
+        value, argmax = brute_force_best_response(spec, i, others)
+        want, want_argmax = reference_table_best_response(spec, i, others)
+        assert value.hex() == want.hex()
+        assert argmax == want_argmax
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-60, 60), st.booleans())
+def test_oracle_value_scales_exactly_by_powers_of_two(seed, k, dyadic):
+    # Dyadic games: payoffs in sixteenths on trees whose probabilities
+    # are 1/2**j, at most 1/16 at a leaf, so distinct scores differ by
+    # at least 2**-8.  Otherwise uniform payoffs on an irregular tree.
+    rng = random.Random(seed)
+    players = rng.randint(2, 4)
+    if dyadic:
+        depth, branching = rng.choice(((1, 2), (2, 2), (3, 2), (4, 2),
+                                       (1, 4), (2, 4)))
+        tree = relabel(ScenarioTree.uniform(depth, branching), rng)[0]
+        draw = lambda: rng.randrange(16) / 16
+    else:
+        tree = random_tree(rng)
+        draw = rng.random
+    procs = [[[draw() for _ in range(tree.n_nodes)] for _ in range(players)]
+             for _ in "XQY"]
+    spec = GameSpec(tree, *procs)
+    scaled = GameSpec(tree, *(
+        [[math.ldexp(v, k) for v in proc] for proc in ps] for ps in procs
+    ))
+    for i in range(players):
+        others = tuple(random_stop(rng, tree) for _ in range(players - 1))
+        value, argmax = brute_force_best_response(spec, i, others)
+        value_k, argmax_k = brute_force_best_response(scaled, i, others)
+        assert value_k == math.ldexp(value, k)
+        # The absolute BRUTE_TIE_TOL merges distinct scores once their
+        # gap falls below it (ROADMAP item 1), so argmaxes are compared
+        # above that scale.
+        if dyadic and math.ldexp(1.0, k - 8) > dynkin.verify.BRUTE_TIE_TOL:
+            assert argmax_k == argmax
+
+
+def test_oracle_errors_keep_their_order(monkeypatch):
+    spec = demo_constant(3, 5, 2)  # 458330 stopping times
+    root = canonicalize([0], spec.tree)
+
+    def per_leaf_work(*args):
+        raise AssertionError("per-leaf work before the cap check")
+
+    monkeypatch.setattr(dynkin.verify, "_collected", per_leaf_work)
+    with pytest.raises(GameError, match="expected 2 opponent"):
+        brute_force_best_response(spec, 0, [root])
+    with pytest.raises(EnumerationCapError) as exc:
+        brute_force_best_response(spec, 0, [root, root])
+    assert str(exc.value) == ("tree admits 458330 stopping times, which "
+                              "exceeds the enumeration cap of 20000")
+    with pytest.raises(EnumerationCapError) as exc:
+        brute_force_best_response(spec, 0, [root, root], cap=-5)
+    assert str(exc.value).endswith("the enumeration cap of -5")
 
 
 def test_best_response_dominates_every_insertion():
