@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import signal
 import sys
@@ -70,6 +71,20 @@ def _at_least_zero(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A finite number of at least 0: ``--tol``, ``--residual-tol`` and
+    ``--strict-tol``.  NaN, an infinity or a negative value would switch
+    the checks they bound off."""
+    try:
+        value = float(text)
+    except ValueError:  # argparse's own message for ``type=float``
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of at least 0, got {value}")
+    return value
+
+
 # Built once: parsing keeps no state, and help is formatted when printed.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,21 +98,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[], help="check a game file")
     p.add_argument("game")
-    p.add_argument("--strict-tol", type=float, default=0.0)
+    p.add_argument("--strict-tol", type=_tolerance, default=0.0)
 
     p = sub.add_parser("solve", help="run the solver and certify the result")
     p.add_argument("game")
     p.add_argument("--max-rounds", type=_at_least_zero, default=None)
-    p.add_argument("--tol", type=float, default=EQ_TOL)
-    p.add_argument("--residual-tol", type=float, default=RESIDUAL_TOL)
-    p.add_argument("--strict-tol", type=float, default=0.0)
+    p.add_argument("--tol", type=_tolerance, default=EQ_TOL)
+    p.add_argument("--residual-tol", type=_tolerance, default=RESIDUAL_TOL)
+    p.add_argument("--strict-tol", type=_tolerance, default=0.0)
     p.add_argument("--report", default=None, help="write a JSON run report")
     p.add_argument("--trace", default=None, help="write a CSV iteration trace")
 
     p = sub.add_parser("verify", help="certify an arbitrary profile")
     p.add_argument("game")
     p.add_argument("--profile", required=True)
-    p.add_argument("--tol", type=float, default=EQ_TOL)
+    p.add_argument("--tol", type=_tolerance, default=EQ_TOL)
 
     p = sub.add_parser("oracle", help="brute-force best response")
     p.add_argument("game")

@@ -7,9 +7,11 @@ used as an oracle against the fast route on small trees).  The oracle
 sums the terms :func:`~dynkin.game.payoff` sums (per leaf, its
 probability times the raw X, Q or Y value collected) exactly, as
 integers shared over subtrees, and rounds each time's sum once: each
-score is the value ``payoff`` gives the time.  The witness's obstacles
-come from :func:`~dynkin.game.cutoff_obstacle`'s routine, as the
-solver's do.
+score is the value ``payoff`` gives the time.  Rounding is monotone, so
+the maximizers are picked from the exact sums: an integer maximum, and
+the float tie test only for the sums at or above an integer bound.  The
+witness's obstacles come from :func:`~dynkin.game.cutoff_obstacle`'s
+routine, as the solver's do.
 """
 
 from __future__ import annotations
@@ -62,10 +64,12 @@ def brute_force_best_response(
 ) -> tuple[float, StoppingTime]:
     """Enumerate every stopping time and maximize the raw payoff.
 
-    Scores are exact sums rounded once (see the module docstring).  Ties
-    within ``BRUTE_TIE_TOL`` of the maximum are resolved toward the
-    pathwise-smallest maximizer, matching the earliest-hit convention
-    of the envelope route.
+    Scores are exact sums rounded once (see the module docstring).  The
+    best value rounds the largest exact sum.  Ties within
+    ``BRUTE_TIE_TOL`` of it are resolved toward the pathwise-smallest
+    maximizer, matching the earliest-hit convention of the envelope
+    route; the float tie test runs only on the sums at or above an
+    integer bound that no tied score's sum falls below.
     """
     tree = spec.tree
     rival = _rival_time(spec, player, others)
@@ -75,29 +79,45 @@ def brute_force_best_response(
         raise EnumerationCapError(counts[0], cap)
     # Per node, the exact sum over its leaves of the terms for stopping
     # there, as an integer at one power-of-two scale.
-    nodes, terms = [], []
+    parents, prob = tree.parents, tree.prob
+    nodes, rivals, probs = [], [], []
     for leaf in tree.leaves:
         path = [leaf]
         while path[-1]:
-            path.append(tree.parents[path[-1]])
-        vals = _collected(spec, player, path, itertools.repeat(first[leaf]))
+            path.append(parents[path[-1]])
         nodes += path
-        terms += [(tree.prob[leaf] * val).as_integer_ratio() for val in vals]
+        rivals += [first[leaf]] * len(path)
+        probs += [prob[leaf]] * len(path)
+    vals = _collected(spec, player, nodes, rivals)
+    terms = [(p * val).as_integer_ratio() for p, val in zip(probs, vals)]
     scale = max(den for _, den in terms)
     stop = [0] * tree.n_nodes
     for v, (num, den) in zip(nodes, terms):
         stop[v] += num * (scale // den)
     sums = _joined(tree, lambda v, _: stop[v])
-    # float(n) is correctly rounded and scaling it by 1 / scale exact:
-    # where the score is subnormal, n is below 2**52.
     inv = 1 / scale
-    try:
-        scores = [float(n) * inv for n in sums]
-    except OverflowError:  # beyond the float range, ``_fsum``'s rule:
-        top = (2**1024 - 2**970) * scale  # the least sum rounding to inf
-        scores = [n / scale if -top < n < top else
-                  math.inf if n > 0 else -math.inf for n in sums]
-    best_val = max(scores)
+
+    def score(n):
+        # float(n) is correctly rounded and scaling it by 1 / scale exact:
+        # where the score is subnormal, n is below 2**52.
+        try:
+            return float(n) * inv
+        except OverflowError:  # beyond the float range, ``_fsum``'s rule:
+            top = (2**1024 - 2**970) * scale  # the least sum rounding to inf
+            return (n / scale if -top < n < top else
+                    math.inf if n > 0 else -math.inf)
+
+    # Rounding is monotone in n, so the top sum gives the top score, and
+    # a score at or above ``low`` comes from a sum whose quotient is at
+    # least the float below ``low``: only those sums are scored.
+    best_val = score(max(sums))
+    low = best_val - BRUTE_TIE_TOL
+    below = math.nextafter(low, -math.inf)
+    bound = -math.inf
+    if below > -math.inf:
+        num, den = below.as_integer_ratio()
+        bound = num * scale // den
+    tied = {k for k, n in enumerate(sums) if n >= bound and score(n) >= low}
 
     # The maximizers' pathwise minimum stops where one of them stops
     # first.  Parents first, a node holds the distinct numbers, less
@@ -105,8 +125,7 @@ def brute_force_best_response(
     # more than the children's numbers in mixed radix (last child
     # fastest).  A lone child takes the set as it is, with ``done`` + 1.
     marked = bytearray(tree.n_nodes)
-    numbers = {0: (0, {k for k, val in enumerate(scores)
-                       if val >= best_val - BRUTE_TIE_TOL})}
+    numbers = {0: (0, tied)}
     for v in itertools.chain(reversed(tree.internal), tree.leaves):
         done, ks = numbers.pop(v, (0, ()))
         if done in ks:  # nothing below comes first

@@ -300,3 +300,52 @@ def test_gen_rejects_a_negative_gap(tmp_path, capsys):
     assert code == 2
     assert "gap" in err
     assert not out.exists()
+
+
+# Each tolerance option, with the commands that take it and its default.
+TOLERANCES = [
+    ("validate", "--strict-tol", "0.0"),
+    ("solve", "--strict-tol", "0.0"),
+    ("solve", "--tol", "1e-09"),
+    ("solve", "--residual-tol", "1e-12"),
+    ("verify", "--tol", "1e-09"),
+]
+
+
+def _tolerance_run(capsys, good, command, *extra):
+    game, profile = good
+    argv = [command, game, *(["--profile", profile] * (command == "verify"))]
+    code = main(argv + list(extra))
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command, option, _", TOLERANCES)
+def test_tolerances_must_be_finite_and_at_least_zero(capsys, good, command,
+                                                     option, _, value):
+    # Unchecked, NaN or a negative strict tolerance skipped the touching
+    # rule, and an infinite --tol certified any profile.  Written apart,
+    # "-inf" reads as an option, which argparse also refuses.
+    code, out, err = _tolerance_run(capsys, good, command, f"{option}={value}")
+    assert (code, out) == (1, "")
+    assert f"argument {option}: must be a finite number of at least 0" in err
+    code, out, err = _tolerance_run(capsys, good, command, option, value)
+    assert (code, out) == (1, "")
+    assert f"argument {option}: " in err
+
+
+@pytest.mark.parametrize("command, option, default", TOLERANCES)
+def test_zero_and_small_tolerances_still_run(capsys, good, command, option,
+                                             default):
+    want = _tolerance_run(capsys, good, command)
+    assert _tolerance_run(capsys, good, command, option, default) == want
+    # The good game passes validation and certification at both values,
+    # but for player 0's Nash gap of 1.1e-16 against --tol 0; the profile
+    # file's is not an equilibrium at any tolerance.
+    for value in ("0", "1e-9"):
+        code, out, err = _tolerance_run(capsys, good, command, option, value)
+        strict = command == "solve" and option == "--tol" and value == "0"
+        assert code == (4 if command == "verify" or strict else 0)
+        assert out.splitlines()[0] == want[1].splitlines()[0]

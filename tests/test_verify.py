@@ -165,11 +165,22 @@ def test_oracle_scores_sums_beyond_float_range_as_payoff_does():
 M = sys.float_info.max
 UNIFORM_SHAPES = ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3),
                   (2, 4), (1, 6))
-# Per payoff kind, one value from a seeded generator.  "few" takes four
-# values, so many times tie; "huge" sits near the ends of the float range.
+# A top payoff and the payoffs 1e-12 below it, give or take an ulp or two:
+# scores on either side of the tie bound, and mixtures that round onto it.
+EDGE_TOP = 0.75
+EDGE_LOW = EDGE_TOP - dynkin.verify.BRUTE_TIE_TOL
+TIE_EDGE = (EDGE_TOP, math.nextafter(EDGE_LOW, 1), EDGE_LOW,
+            math.nextafter(EDGE_LOW, 0),
+            math.nextafter(math.nextafter(EDGE_LOW, 0), 0))
+# Per payoff kind, one value from a seeded generator.  "few" and "three"
+# take four and three values, so many times tie; "huge" sits near the
+# ends of the float range.
 PAYOFFS = {
     "uniform": lambda rng: rng.random(),
     "few": lambda rng: rng.randrange(4) / 4,
+    "three": lambda rng: rng.choice((-0.5, 0.25, 1.0)),
+    "tie_edge": lambda rng: rng.choice(TIE_EDGE),
+    "negative": lambda rng: -0.25 - rng.random(),
     "subnormal": lambda rng: rng.choice((-1, 1)) * rng.randrange(1, 4096)
     * 5e-324,
     "huge": lambda rng: rng.choice((M, -M, M / 2, -M / 2,
@@ -185,13 +196,15 @@ def oracle_cases(draw):
     a seeded game, maybe touching, against its equilibrium or a random
     profile, or a uniform, irregular, relabeled, chain or ``BEYOND``
     tree with one payoff kind against random, root or horizon stops.
-    Payoffs of the seeded, uniform and few-valued games are scaled by
-    2**k for k in [-60, 60]."""
+    Payoffs of the seeded games and of the uniform, few-, three-valued
+    and negative kinds are scaled by 2**k for k in [-60, 60], or for k
+    in [-1074, -1000], into the subnormal range."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     players = draw(st.integers(2, 4))
     shape = draw(st.sampled_from(
         ("seeded", "uniform", "irregular", "relabeled", "chain", "beyond")))
-    scale = math.ldexp(1.0, draw(st.integers(-60, 60)))
+    scale = math.ldexp(1.0, draw(
+        st.one_of(st.integers(-60, 60), st.integers(-1074, -1000))))
     if shape == "seeded":
         depth, branching = draw(st.sampled_from(UNIFORM_SHAPES))
         spec = gen_game(players, depth, branching, rng.randrange(2**31),
@@ -214,7 +227,8 @@ def oracle_cases(draw):
             if shape == "relabeled":
                 tree = relabel(tree, rng)[0]
         kind = draw(st.sampled_from(sorted(PAYOFFS)))
-        factor = scale if kind in ("uniform", "few") else 1.0
+        factor = (scale if kind in ("uniform", "few", "three", "negative")
+                  else 1.0)
         value = PAYOFFS[kind]
         spec = GameSpec(tree, *(
             [[factor * value(rng) for _ in range(tree.n_nodes)]
