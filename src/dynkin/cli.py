@@ -32,8 +32,9 @@ from .gamefile import (
     load_profile,
     save_game,
 )
-from .report import build_report, solve_and_certify, write_report, write_trace
-from .snell import EQ_TOL, RESIDUAL_TOL
+from .report import (RESIDUAL_TOL, build_report, solve_and_certify,
+                     write_report, write_trace)
+from .snell import EQ_TOL
 from .solver import make_candidate
 from .tree import DEFAULT_ENUM_CAP, EnumerationCapError, TreeError
 from .verify import (

@@ -7,10 +7,11 @@ first, ``Q[i]`` the value when the player stops simultaneously with the
 earliest opponent, and ``Y[i]`` the value when some opponent stops
 strictly first.  The standing order assumption is ``X <= Q <= Y``
 nodewise; a second assumption constrains where ``Q`` may touch ``Y``
-before the horizon.  One cut pass and one freeze pass build a player's
-obstacle against an opponents' cutoff: over the whole tree for
-:func:`cutoff_obstacle` and the witness, over the root paths whose
-cutoff stop moved for the solver's updates.
+before the horizon.  A player's obstacle against an opponents' cutoff
+is the cutoff's cut (``tree._first_on_path``) filled by one rule
+(``_fill_obstacle``): over the whole tree for :func:`cutoff_obstacle`
+and the witness, over the root paths whose cutoff stop moved for the
+solver's updates.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .tree import (
     ScenarioTree,
     StoppingTime,
     _check_stop,
+    _first_on_path,
     _marks,
     _number,
     min_stop,
@@ -228,12 +230,23 @@ def cutoff_obstacle(
 
 def _cut_obstacle(spec, player, cutoff):
     """The cutoff's cut and the obstacle over the whole tree, for the
-    witness and :func:`cutoff_obstacle`; the solver's updates run the
-    same pass over the root paths whose cutoff stop moved."""
-    _check_stop(spec.tree, cutoff)
-    ep = end_payoff(spec, player)
-    marked = _marks(spec.tree, cutoff.node_by_leaf)
-    return _freeze(spec.tree, marked, spec.X[player], ep, ep)
+    witness and :func:`cutoff_obstacle`."""
+    tree = spec.tree
+    _check_stop(tree, cutoff)
+    cut = _first_on_path(tree, _marks(tree, cutoff.node_by_leaf))
+    obstacle = [0.0] * tree.n_nodes
+    _fill_obstacle(obstacle, range(tree.n_nodes), cut, spec.X[player],
+                   end_payoff(spec, player))
+    return cut, obstacle
+
+
+def _fill_obstacle(out, nodes, cut, x, ep) -> None:
+    """The obstacle at ``nodes``, written into ``out``: ``x`` strictly
+    before the cut, the cut node's end payoff ``ep`` from it on.  Over
+    the whole tree here, over the moved root paths in the solver."""
+    for v in nodes:
+        a = cut[v]
+        out[v] = x[v] if a < 0 else ep[a]
 
 
 def best_response_process(
@@ -247,43 +260,11 @@ def best_response_process(
     each path.
     """
     rival = _rival_time(spec, player, others)
-    marked = _marks(spec.tree, rival.node_by_leaf)
-    return tuple(_freeze(
-        spec.tree, marked, spec.X[player], spec.Q[player], spec.Y[player]
-    )[1])
-
-
-def _freeze(tree, marked, x, at, below, nodes=None, cut=None, out=None):
-    """The cut of the ``marked`` nodes and the frozen process, in one
-    top-down walk.
-
-    The cut is what ``_first_on_path`` gives for ``marked``: per node,
-    the first marked node on its root path, or -1.  The process is ``x``
-    strictly before the cut, ``at`` on the cut node, and the cut node's
-    ``below`` value frozen on the rest of each path.  A full pass
-    (``nodes`` None) fills new lists; otherwise only ``nodes`` are
-    recomputed, in the order given, into ``cut`` and ``out``: each from
-    its parent's cut, so a parent must come before its child or hold its
-    final cut already.
-    """
-    if nodes is None:
-        nodes = range(tree.n_nodes)
-        cut = [-1] * tree.n_nodes
-        out = [0.0] * tree.n_nodes
-    parents = tree.parents
-    for v in nodes:
-        p = parents[v]
-        a = -1 if p is None else cut[p]
-        if a >= 0:
-            cut[v] = a
-            out[v] = below[a]
-        elif marked[v]:
-            cut[v] = v
-            out[v] = at[v]
-        else:
-            cut[v] = -1
-            out[v] = x[v]
-    return cut, out
+    n = spec.tree.n_nodes
+    cut = _first_on_path(spec.tree, _marks(spec.tree, rival.node_by_leaf))
+    # Before R the rival's node is one past every id: the player is first.
+    rivals = [n if a < 0 else a for a in cut]
+    return tuple(_collected(spec, player, range(n), rivals))
 
 
 def payoff(

@@ -16,7 +16,11 @@ writer takes a game's fields, so a parsed document can be hashed too.
 Errors are split into two kinds so callers can map them to distinct
 exit codes: :class:`GameParseError` for undecodable or mistyped
 documents and :class:`GameStructureError` for well-formed documents
-that describe an invalid tree or game.
+that describe an invalid tree or game.  The loader checks the top level
+and the node ids as whole arrays, then leaves every parent, probability
+and payoff to :class:`~dynkin.tree.ScenarioTree` and
+:class:`~dynkin.game.GameSpec`; only when a check fails does one scan
+in file order name the first node or process value the file mistypes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 import os
 import random
 import stat
@@ -113,49 +118,6 @@ def game_from_document(doc, where: str = "game document") -> GameSpec:
             f"{where}: horizon must be >= 1, got {horizon}"
         )
 
-    parents, probs = _node_fields(nodes, where)
-    try:
-        tree = ScenarioTree(parents, probs, horizon=horizon)
-    except TreeError as exc:
-        raise GameStructureError(f"{where}: {exc}") from exc
-
-    # GameSpec checks every value.  Only when it or a shape check fails
-    # are the arrays accepted so far scanned for a value that is not a
-    # number, so a mistyped value is still reported first, in file order.
-    triples = {}
-    shaped = []
-    try:
-        for name in ("X", "Q", "Y"):
-            arrays = _require(processes, name, list, f"{where}: processes")
-            if len(arrays) != players:
-                raise GameStructureError(
-                    f"{where}: processes.{name} has {len(arrays)} players, "
-                    f"expected {players}"
-                )
-            for i, arr in enumerate(arrays):
-                if not isinstance(arr, list):
-                    raise GameParseError(
-                        f"{where}: processes.{name}[{i}] must be an array"
-                    )
-                if len(arr) != tree.n_nodes:
-                    raise GameStructureError(
-                        f"{where}: processes.{name}[{i}] has {len(arr)} "
-                        f"values but the tree has {tree.n_nodes} nodes"
-                    )
-                shaped.append((name, i, arr))
-            triples[name] = arrays
-        return GameSpec(tree, triples["X"], triples["Q"], triples["Y"])
-    except GameError as exc:
-        _check_numbers(shaped, where)
-        raise GameStructureError(f"{where}: {exc}") from exc
-    except GameFileError:
-        _check_numbers(shaped, where)
-        raise
-
-
-def _node_fields(nodes: list, where: str) -> tuple[list, list]:
-    """The nodes' parents and float probabilities: checked as whole
-    arrays, and node by node only to name the first fault."""
     get_id = itemgetter("id")  # no list of ids: it raises peak memory
     try:
         parents, probs = (
@@ -164,44 +126,65 @@ def _node_fields(nodes: list, where: str) -> tuple[list, list]:
         in_order = set(map(type, map(get_id, nodes))) <= {int} and all(
             map(eq, map(get_id, nodes), range(len(nodes))))
     except (KeyError, TypeError):  # a missing field or a non-object node
-        pass
-    else:
-        if (set(map(type, nodes)) <= {dict} and in_order
-                and set(map(type, parents)) <= {int, type(None)}
-                and set(map(type, probs)) <= {float}):
-            return parents, probs
-    parents, probs = [], []
+        in_order = False
+    if not in_order:
+        _first_fault(nodes, (), where)  # names the node, and raises
+
+    triples = []
+    shaped = []  # the process arrays whose shape passed, in file order
+    try:
+        tree = ScenarioTree(parents, probs, horizon=horizon)
+        for name in ("X", "Q", "Y"):
+            arrays = _require(processes, name, list, f"{where}: processes")
+            if len(arrays) != players:
+                raise GameStructureError(
+                    f"{where}: processes.{name} has {len(arrays)} players, "
+                    f"expected {players}"
+                )
+            for i, arr in enumerate(arrays):
+                at = f"{where}: processes.{name}[{i}]"
+                if not isinstance(arr, list):
+                    raise GameParseError(f"{at} must be an array")
+                if len(arr) != tree.n_nodes:
+                    raise GameStructureError(
+                        f"{at} has {len(arr)} values but the tree has "
+                        f"{tree.n_nodes} nodes")
+                shaped.append((at, arr))
+            triples.append(arrays)
+        return GameSpec(tree, *triples)
+    except (TreeError, GameError) as exc:
+        _first_fault(nodes, shaped, where)
+        raise GameStructureError(f"{where}: {exc}") from exc
+    except GameFileError:
+        _first_fault(nodes, shaped, where)
+        raise
+
+
+def _first_fault(nodes: list, shaped, where: str) -> None:
+    """Raise the first fault of the file in file order: a node that is
+    not an object, a missing or mistyped node field or an id out of
+    order, then a value that is not a number in the ``shaped`` arrays,
+    given as (where, array) pairs."""
     for k, entry in enumerate(nodes):
+        at = f"{where}: nodes[{k}]"
         if not isinstance(entry, dict):
-            raise GameParseError(f"{where}: nodes[{k}] must be an object")
-        node_id = _require(entry, "id", int, f"{where}: nodes[{k}]")
+            raise GameParseError(f"{at} must be an object")
+        node_id = _require(entry, "id", int, at)
         if node_id != k:
             raise GameStructureError(
-                f"{where}: nodes[{k}] has id {node_id}, ids must be "
-                "0..K-1 in order"
-            )
+                f"{at} has id {node_id}, ids must be 0..K-1 in order")
         if "parent" not in entry:
-            raise GameParseError(f"{where}: nodes[{k}]: missing field 'parent'")
+            raise GameParseError(f"{at}: missing field 'parent'")
         parent = entry["parent"]
         if parent is not None and (
-            isinstance(parent, bool) or not isinstance(parent, int)
-        ):
+                isinstance(parent, bool) or not isinstance(parent, int)):
             raise GameParseError(
-                f"{where}: nodes[{k}]: field 'parent' must be an integer "
-                "or null"
-            )
-        parents.append(parent)
-        probs.append(_require(entry, "p", float, f"{where}: nodes[{k}]"))
-    return parents, probs
-
-
-def _check_numbers(shaped, where: str) -> None:
-    for name, i, arr in shaped:
+                f"{at}: field 'parent' must be an integer or null")
+        _require(entry, "p", float, at)
+    for at, arr in shaped:
         for v, x in enumerate(arr):
             if _number(x) is None:
-                raise GameParseError(
-                    f"{where}: processes.{name}[{i}][{v}] must be a number"
-                )
+                raise GameParseError(f"{at}[{v}] must be a number")
 
 
 # One C encoder, reused: ``JSONEncoder.encode`` builds one per call.
@@ -385,12 +368,14 @@ def gen_game(
     (about ``touch_frac``) additionally has Q raised to Y for every
     player, exercising the boundary where simultaneous stops cost
     nothing.  Both modes pass the assumption checks by construction,
-    which needs ``gap >= 0``.
+    which needs a finite ``gap >= 0``; ``touch_frac`` lies in [0, 1].
     """
     if mode not in ("strict", "touching"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not gap >= 0:
-        raise GameError(f"gap must be at least 0, got {gap!r}")
+    if not 0 <= gap < math.inf:  # NaN fails too
+        raise GameError(f"gap must be finite and at least 0, got {gap!r}")
+    if not 0 <= touch_frac <= 1:
+        raise GameError(f"touch_frac must be in [0, 1], got {touch_frac!r}")
     rng = random.Random(seed)
     tree = ScenarioTree.uniform(depth, branching)
     n = tree.n_nodes

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .game import AssumptionError, GameSpec, validate_assumptions
 from .gamefile import atomic_write_bytes, canonical_bytes, game_digest
-from .snell import EQ_TOL, RESIDUAL_TOL
+from .snell import EQ_TOL
 from .solver import (
     AuditViolation,
     EquilibriumCandidate,
@@ -36,6 +36,7 @@ from .verify import (
 )
 
 REPORT_FORMAT = "dynkin_run_report_v1"
+RESIDUAL_TOL = 1e-12  # default bound on each player's expected Y - Q tie gap
 
 
 @dataclass(frozen=True)

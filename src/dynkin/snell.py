@@ -5,8 +5,9 @@ dominating it, computed by backward induction over ``tree.internal``
 (children first) from the leaves, where it equals the obstacle.
 Alongside the envelope we return the earliest optimal stopping time:
 the first time, on each path, at which the obstacle matches the
-envelope.  The backward pass marks those nodes, and one cut pass
-(``tree._first_on_path``) over the marks gives its stop on each path.
+envelope.  The backward pass marks those nodes, and the package's one
+cut walk (``tree._first_on_path``) over the marks gives its stop on each
+path.
 Both come in a :class:`SnellResult`, which only this module exports.
 Processes are any length-K float sequences indexed by node id; the
 envelope is a tuple.  The backward step (``_backward``) writes the
@@ -29,7 +30,6 @@ from .tree import (
 )
 
 EQ_TOL = 1e-9
-RESIDUAL_TOL = 1e-12  # default bound on each player's expected Y - Q tie gap
 
 
 @dataclass(frozen=True)

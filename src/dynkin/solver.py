@@ -3,7 +3,7 @@
 Players start at the horizon and are updated one at a time in a round-
 robin.  On a player's turn the opponents' latest stopping times are
 merged into a cutoff, the player's obstacle against it is built (the
-cut and freeze passes :func:`~dynkin.game.cutoff_obstacle` runs), its
+cut walk and the fill :func:`~dynkin.game.cutoff_obstacle` runs), its
 Snell envelope and earliest optimal stop are computed, and the
 player's stopping time shrinks accordingly: on paths where stopping
 early (but still before the cutoff) is optimal the stop moves up,
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Optional, Sequence
 
-from .game import GameSpec, _freeze, end_payoff
+from .game import GameSpec, _fill_obstacle, end_payoff
 from .snell import EQ_TOL, _backward
 from .tree import (
     StoppingTime,
@@ -212,9 +212,8 @@ def _update(spec: GameSpec, player: int, theta: StoppingTime, cache: _Cache):
     # The envelope is built in place over the obstacle.
     w, hit, first, gaps = cache.w, cache.hit, cache.first, cache.gaps
     ep = cache.ep
-    cut, _ = _freeze(
-        tree, _marks(tree, stops), spec.X[player], ep, ep, down, [-1] * n, w
-    )
+    cut = _first_on_path(tree, _marks(tree, stops), down, [-1] * n)
+    _fill_obstacle(w, down, cut, spec.X[player], ep)
     _backward(tree, w, hit, internal)
 
     _first_on_path(tree, hit, down, first)

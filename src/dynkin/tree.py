@@ -311,7 +311,8 @@ def _first_on_path(
     first: Optional[list[int]] = None,
 ) -> list[int]:
     """Per node, the first marked node on its root path (the node itself
-    included), or -1 where the path has not met a mark yet.
+    included), or -1 where the path has not met a mark yet: the
+    package's one top-down cut walk.
 
     ``marked`` holds one flag per node.  A full pass (``nodes`` None)
     fills a new list.  Otherwise only ``nodes`` are recomputed, in the
@@ -324,13 +325,8 @@ def _first_on_path(
     parents = tree.parents
     for v in nodes:
         p = parents[v]
-        inherited = -1 if p is None else first[p]
-        if inherited >= 0:
-            first[v] = inherited
-        elif marked[v]:
-            first[v] = v
-        else:
-            first[v] = -1
+        a = -1 if p is None else first[p]
+        first[v] = a if a >= 0 else v if marked[v] else -1
     return first
 
 

@@ -13,7 +13,9 @@ the full-recomputation solver update and run the cached solver is
 checked against, and the node-by-node assumption check the whole-array
 one is checked against, and the node-by-node loader and tree checks
 the whole-array ones are checked against, and the table-and-``fsum``
-oracle the exact per-subtree one is checked against.
+oracle the exact per-subtree one is checked against, and the obstacle
+and best-response process the package builders are checked against,
+and the pre-scanning loader the first-fault scanner is checked against.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import math
 import operator
 import random
+from operator import eq, itemgetter
 from typing import Sequence
 
 from dynkin import (
@@ -43,10 +46,16 @@ from dynkin import (
     make_candidate,
     min_stop,
 )
-from dynkin.gamefile import GameParseError, GameStructureError, _require
+from dynkin.gamefile import (
+    GameFileError,
+    GameParseError,
+    GameStructureError,
+    _require,
+)
 from dynkin.game import (
     A3Violation,
     A4Violation,
+    GameError,
     _collected,
     _fsum,
     _insertion_payoff,
@@ -506,6 +515,19 @@ def reference_cut_obstacle(spec: GameSpec, player: int, cutoff: StoppingTime):
     return cut, tuple(out)
 
 
+def reference_best_response_process(
+    spec: GameSpec, player: int, others: Sequence[StoppingTime]
+) -> tuple[float, ...]:
+    """X strictly before the opponents' earliest stop R, Q at the R node,
+    and the R node's Y on the rest of each path."""
+    rival = min_stop_by_depth(*others)
+    cut = reference_first_on_path(spec.tree, rival.node_by_leaf)
+    x, q, y = spec.X[player], spec.Q[player], spec.Y[player]
+    return tuple(
+        x[v] if a < 0 else q[v] if a == v else y[a] for v, a in enumerate(cut)
+    )
+
+
 # The solver's update and run as they stood when every update rebuilt
 # the cut, the obstacle, the envelope and the flat check over the whole
 # tree; the cached solver must reproduce every record they give.
@@ -701,3 +723,115 @@ def reference_tree_checks(parents, cond_probs, horizon=None) -> None:
         )
     if m < 1:
         raise TreeError("horizon must be at least 1")
+
+
+# The game loader as it stood when it type-scanned every node's fields
+# before building the tree, and scanned the shaped process arrays for a
+# value that is not a number whenever the spec or a shape check failed;
+# the loader that leaves those checks to the tree and the spec must
+# raise the same first fault.
+
+def prescan_game_from_document(doc, where: str = "game document") -> GameSpec:
+    if not isinstance(doc, dict):
+        raise GameParseError(f"{where}: top level must be an object")
+    horizon = _require(doc, "horizon", int, where)
+    players = _require(doc, "players", int, where)
+    nodes = _require(doc, "nodes", list, where)
+    processes = _require(doc, "processes", dict, where)
+
+    if players < 2:
+        raise GameStructureError(f"{where}: players must be >= 2, got {players}")
+    if horizon < 1:
+        raise GameStructureError(
+            f"{where}: horizon must be >= 1, got {horizon}"
+        )
+
+    parents, probs = prescan_node_fields(nodes, where)
+    try:
+        tree = ScenarioTree(parents, probs, horizon=horizon)
+    except TreeError as exc:
+        raise GameStructureError(f"{where}: {exc}") from exc
+
+    # GameSpec checks every value.  Only when it or a shape check fails
+    # are the arrays accepted so far scanned for a value that is not a
+    # number, so a mistyped value is still reported first, in file order.
+    triples = {}
+    shaped = []
+    try:
+        for name in ("X", "Q", "Y"):
+            arrays = _require(processes, name, list, f"{where}: processes")
+            if len(arrays) != players:
+                raise GameStructureError(
+                    f"{where}: processes.{name} has {len(arrays)} players, "
+                    f"expected {players}"
+                )
+            for i, arr in enumerate(arrays):
+                if not isinstance(arr, list):
+                    raise GameParseError(
+                        f"{where}: processes.{name}[{i}] must be an array"
+                    )
+                if len(arr) != tree.n_nodes:
+                    raise GameStructureError(
+                        f"{where}: processes.{name}[{i}] has {len(arr)} "
+                        f"values but the tree has {tree.n_nodes} nodes"
+                    )
+                shaped.append((name, i, arr))
+            triples[name] = arrays
+        return GameSpec(tree, triples["X"], triples["Q"], triples["Y"])
+    except GameError as exc:
+        prescan_check_numbers(shaped, where)
+        raise GameStructureError(f"{where}: {exc}") from exc
+    except GameFileError:
+        prescan_check_numbers(shaped, where)
+        raise
+
+
+def prescan_node_fields(nodes: list, where: str) -> tuple[list, list]:
+    """The nodes' parents and float probabilities: checked as whole
+    arrays, and node by node only to name the first fault."""
+    get_id = itemgetter("id")  # no list of ids: it raises peak memory
+    try:
+        parents, probs = (
+            list(map(itemgetter(key), nodes)) for key in ("parent", "p")
+        )
+        in_order = set(map(type, map(get_id, nodes))) <= {int} and all(
+            map(eq, map(get_id, nodes), range(len(nodes))))
+    except (KeyError, TypeError):  # a missing field or a non-object node
+        pass
+    else:
+        if (set(map(type, nodes)) <= {dict} and in_order
+                and set(map(type, parents)) <= {int, type(None)}
+                and set(map(type, probs)) <= {float}):
+            return parents, probs
+    parents, probs = [], []
+    for k, entry in enumerate(nodes):
+        if not isinstance(entry, dict):
+            raise GameParseError(f"{where}: nodes[{k}] must be an object")
+        node_id = _require(entry, "id", int, f"{where}: nodes[{k}]")
+        if node_id != k:
+            raise GameStructureError(
+                f"{where}: nodes[{k}] has id {node_id}, ids must be "
+                "0..K-1 in order"
+            )
+        if "parent" not in entry:
+            raise GameParseError(f"{where}: nodes[{k}]: missing field 'parent'")
+        parent = entry["parent"]
+        if parent is not None and (
+            isinstance(parent, bool) or not isinstance(parent, int)
+        ):
+            raise GameParseError(
+                f"{where}: nodes[{k}]: field 'parent' must be an integer "
+                "or null"
+            )
+        parents.append(parent)
+        probs.append(_require(entry, "p", float, f"{where}: nodes[{k}]"))
+    return parents, probs
+
+
+def prescan_check_numbers(shaped, where: str) -> None:
+    for name, i, arr in shaped:
+        for v, x in enumerate(arr):
+            if _number(x) is None:
+                raise GameParseError(
+                    f"{where}: processes.{name}[{i}][{v}] must be a number"
+                )

@@ -302,6 +302,22 @@ def test_gen_rejects_a_negative_gap(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, name", [
+    ("--gap", "inf", "gap"),
+    ("--touch-frac", "nan", "touch_frac"),
+    ("--touch-frac", "1.5", "touch_frac"),
+])
+def test_gen_rejects_an_option_out_of_range(tmp_path, capsys, option, value,
+                                            name):
+    out = tmp_path / "game.json"
+    code, err = _run(capsys, ["gen", str(out), "--players", "2", "--depth",
+                              "2", "--branching", "2", "--seed", "1",
+                              option, value])
+    assert code == 2
+    assert name in err and value in err
+    assert not out.exists()
+
+
 # Each tolerance option, with the commands that take it and its default.
 TOLERANCES = [
     ("validate", "--strict-tol", "0.0"),

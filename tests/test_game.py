@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkin import (
     GameError,
@@ -18,15 +20,20 @@ from dynkin import (
     enumerate_stopping_times,
     gen_game,
     horizon_stop,
+    min_stop,
     payoff,
     validate_assumptions,
 )
+from dynkin.game import _cut_obstacle
 from helpers import (
     chain_tree,
     depth_stop,
     expect_at,
     random_tree,
+    reference_best_response_process,
+    reference_cut_obstacle,
     reference_validate_assumptions,
+    relabel,
     relabeled_game,
     triple_game,
 )
@@ -249,6 +256,58 @@ def test_best_response_process_examples():
     assert h_mixed[3] == y[1] and h_mixed[4] == y[1]
     assert h_mixed[2] == x[2]
     assert h_mixed[5] == q[5] and h_mixed[6] == q[6]
+
+
+@st.composite
+def obstacle_cases(draw):
+    """A game with 2-3 players on a uniform, irregular, relabeled or chain
+    tree, a player, and opponents that each stop at the root, at the
+    horizon or at a random canonicalized node set."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("uniform", "irregular", "relabeled",
+                                  "chain")))
+    if shape == "uniform":
+        tree = ScenarioTree.uniform(rng.randint(1, 4), rng.randint(1, 3))
+    elif shape == "chain":
+        tree = chain_tree(rng.randint(1, 40))
+    else:
+        tree = random_tree(rng, max_branch=4)
+        if shape == "relabeled":
+            tree = relabel(tree, rng)[0]
+    players = draw(st.integers(2, 3))
+
+    def procs():  # signed zeros too, so a copied sign shows
+        return [[rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0)))
+                 for _ in range(tree.n_nodes)] for _ in range(players)]
+
+    def stop():
+        kind = draw(st.sampled_from(("root", "horizon", "random")))
+        if kind == "root":
+            return canonicalize([0], tree)
+        if kind == "horizon":
+            return horizon_stop(tree)
+        ids = st.integers(0, tree.n_nodes - 1)
+        return canonicalize(draw(st.lists(ids, max_size=tree.n_nodes)), tree)
+
+    spec = GameSpec(tree, procs(), procs(), procs())
+    return spec, draw(st.integers(0, players - 1)), [
+        stop() for _ in range(players - 1)]
+
+
+def _bits(values):
+    return [float.hex(v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(obstacle_cases())
+def test_obstacle_builders_match_the_references(case):
+    spec, player, others = case
+    cutoff = min_stop(*others)
+    cut, obstacle = reference_cut_obstacle(spec, player, cutoff)
+    assert _cut_obstacle(spec, player, cutoff)[0] == cut
+    assert _bits(cutoff_obstacle(spec, player, cutoff)) == _bits(obstacle)
+    assert _bits(best_response_process(spec, player, others)) == _bits(
+        reference_best_response_process(spec, player, others))
 
 
 def test_payoff_case_split():

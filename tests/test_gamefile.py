@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from dynkin import (
     GameError,
+    GameFileError,
     GameParseError,
     GameSpec,
     GameStructureError,
@@ -42,6 +43,7 @@ from dynkin.gamefile import (
 from helpers import (
     chain_tree,
     game_document,
+    prescan_game_from_document,
     random_tree,
     reference_canonical_bytes,
     reference_node_fields,
@@ -224,9 +226,15 @@ def test_gen_touching_touches_somewhere():
 
 
 def test_gen_rejects_a_negative_gap():
-    for gap in (-5.0, -1e-12, math.nan):
-        with pytest.raises(GameError):
+    for gap in (-5.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(GameError, match="gap"):
             gen_game(2, 2, 2, seed=1, gap=gap)
+    for touch_frac in (math.nan, -0.1, 1.5, math.inf, -math.inf):
+        for mode in ("strict", "touching"):
+            with pytest.raises(GameError, match="touch_frac"):
+                gen_game(2, 2, 2, seed=1, mode=mode, touch_frac=touch_frac)
+    for touch_frac in (0.0, 1.0):
+        gen_game(2, 2, 2, seed=1, mode="touching", touch_frac=touch_frac)
     spec = gen_game(2, 2, 2, seed=1, gap=0.0)
     assert validate_assumptions(spec).passed
 
@@ -484,6 +492,56 @@ def test_the_loader_names_the_references_first_fault(nodes):
     probs = [node.get("p") for node in nodes]
     assert _outcome(ScenarioTree, parents, probs, horizon=6) == _outcome(
         reference_tree_checks, parents, probs, horizon=6)
+
+
+# One corruption of a process: a value that is not a number, a bool or
+# not finite in one array, or a whole array of the wrong length or kind.
+PROCESS_VALUES = ["1", None, True, False, math.nan, math.inf, -math.inf,
+                  [0.0], {}, 0, 10**400, 0.5]
+
+
+@st.composite
+def corrupted_documents(draw):
+    """``_DEPTH6`` with one process corrupted, and its nodes as
+    ``corrupted_nodes`` leaves them or with a rewrite of the root that
+    both loaders accept, so that the process fault shows."""
+    doc = copy.deepcopy(_DEPTH6)
+    if draw(st.booleans()):
+        doc["nodes"] = draw(corrupted_nodes())
+    else:
+        field, value = draw(st.sampled_from(
+            [("p", 1), ("p", 1.0), ("parent", None), ("id", 0)]))
+        doc["nodes"][0][field] = value
+    processes = doc["processes"]
+    name = draw(st.sampled_from(["X", "Q", "Y"]))
+    i = draw(st.integers(0, 1))
+    arr = processes[name][i]
+    where = draw(st.sampled_from(["value", "array", "player list"]))
+    if where == "value":
+        arr[draw(st.integers(0, len(arr) - 1))] = draw(
+            st.sampled_from(PROCESS_VALUES))
+    elif where == "array":
+        processes[name][i] = draw(st.sampled_from(
+            [arr[:-1], arr + [0.5], [], "x", 1.0, None, {}]))
+    else:
+        processes[name] = draw(st.sampled_from(
+            [processes[name][:1], processes[name] * 2, arr, "x", None]))
+    return doc
+
+
+def _loaded(load, doc):
+    """The spec ``load`` builds, or the class and message it raises."""
+    try:
+        return load(doc)
+    except GameFileError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_documents())
+def test_the_loader_names_the_prescan_loaders_first_fault(doc):
+    assert _loaded(game_from_document, doc) == _loaded(
+        prescan_game_from_document, doc)
 
 
 def test_uncorrupted_nodes_load():
