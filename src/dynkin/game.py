@@ -259,7 +259,12 @@ def best_response_process(
     before R, Q at the R node, and the R node's Y frozen on the rest of
     each path.
     """
-    rival = _rival_time(spec, player, others)
+    return _rival_process(spec, player, _rival_time(spec, player, others))
+
+
+def _rival_process(spec, player, rival: StoppingTime) -> tuple[float, ...]:
+    """:func:`best_response_process` against the opponents' earliest stop
+    ``rival``; the Nash check derives that stop once per player."""
     n = spec.tree.n_nodes
     cut = _first_on_path(spec.tree, _marks(spec.tree, rival.node_by_leaf))
     # Before R the rival's node is one past every id: the player is first.
@@ -279,15 +284,19 @@ def payoff(
     the probability-weighted sum over leaves.
     """
     profile = tuple(profile)
-    if len(profile) != spec.n_players:
-        raise GameError(
-            f"profile has {len(profile)} stopping times for "
-            f"{spec.n_players} players"
-        )
+    _check_count(spec, profile)
     _check_stop(spec.tree, profile[player])
     others = [tau for j, tau in enumerate(profile) if j != player]
     rival = _rival_time(spec, player, others)
     return _insertion_payoff(spec, player, rival, profile[player])
+
+
+def _check_count(spec: GameSpec, *profiles) -> None:
+    """One stopping time per player in each profile, else ``GameError``."""
+    for times in profiles:
+        if len(times) != spec.n_players:
+            raise GameError(f"profile has {len(times)} stopping times for "
+                            f"{spec.n_players} players")
 
 
 def _rival_time(

@@ -8,10 +8,11 @@ Serialization is canonical (sorted keys, two-space indent, shortest
 round-trip floats) so identical games produce identical bytes, and a
 write to a regular file goes through a temp file and an atomic rename.
 Only this module knows the format: :func:`canonical_bytes` writes any
-document, and the game writer adds one node template to it;
-:func:`save_game` writes those bytes and :func:`game_digest` hashes
-them in chunks, so the digest never holds the whole document.  The
-writer takes a game's fields, so a parsed document can be hashed too.
+other document, and the game writer writes game files from templates,
+for the nodes and for the process arrays; :func:`save_game` writes
+those bytes and :func:`game_digest` hashes them in chunks, so the
+digest never holds the whole document.  The writer takes a game's
+fields, so a parsed document can be hashed too.
 
 Errors are split into two kinds so callers can map them to distinct
 exit codes: :class:`GameParseError` for undecodable or mistyped
@@ -191,23 +192,25 @@ def _first_fault(nodes: list, shaped, where: str) -> None:
 _encode = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
     None, ": ", ", ", False, False, True)
-# array items or nodes per piece: bounds what the digest holds at once
+# array items or nodes per piece: bounds what the digest holds at once,
+# and keeps each encoded piece small
 _PIECE = 1024
 
 
-def _canonical(doc, pad: str):
-    """Yield ``json.dumps(doc, sort_keys=True, indent=2)`` in pieces (str
-    keys only); ``pad`` is the line break and indent ``doc`` starts at.
-    Scalars, and arrays not starting with a container, go through the C
-    encoder, arrays ``_PIECE`` items at a time; a piece with no ``"`` and
-    no inner ``[`` is re-indented at its ``", "``, the rest item by item."""
+def _canonical(doc, pad: str, out: list) -> list:
+    """Append ``json.dumps(doc, sort_keys=True, indent=2)`` to ``out`` in
+    pieces (str keys only), and return ``out``; ``pad`` is the line break
+    and indent ``doc`` starts at.  Scalars, and arrays not starting with
+    a container, go through the C encoder, arrays ``_PIECE`` items at a
+    time; a piece with no ``"`` and no inner ``[`` is re-indented at its
+    ``", "``, the rest item by item."""
     inner = pad + "  "
     if isinstance(doc, dict) and doc:
         for k, key in enumerate(sorted(doc)):
-            yield ("," if k else "{") + inner
-            yield json.encoder.encode_basestring_ascii(key) + ": "
-            yield from _canonical(doc[key], inner)
-        yield pad + "}"
+            out.append(("," if k else "{") + inner
+                       + json.encoder.encode_basestring_ascii(key) + ": ")
+            _canonical(doc[key], inner, out)
+        out.append(pad + "}")
     elif isinstance(doc, (list, tuple)) and doc:
         flat = not isinstance(doc[0], (dict, list, tuple))
         for a in range(0, len(doc), _PIECE):
@@ -215,18 +218,19 @@ def _canonical(doc, pad: str):
             text = "".join(_encode(piece, 0)) if flat else ""
             if not flat or '"' in text or "[" in text[1:]:
                 for k, item in enumerate(piece, a):
-                    yield ("," if k else "[") + inner
-                    yield from _canonical(item, inner)
+                    out.append(("," if k else "[") + inner)
+                    _canonical(item, inner, out)
             else:
-                yield ("," if a else "[") + inner
-                yield text[1:-1].replace(", ", "," + inner)
-        yield pad + "]"
+                out.append(("," if a else "[") + inner
+                           + text[1:-1].replace(", ", "," + inner))
+        out.append(pad + "]")
     else:
-        yield "".join(_encode(doc, 0))
+        out.append("".join(_encode(doc, 0)))
+    return out
 
 
 def canonical_bytes(doc) -> bytes:
-    return "".join([*_canonical(doc, "\n"), "\n"]).encode("utf-8")
+    return "".join(_canonical(doc, "\n", []) + ["\n"]).encode("utf-8")
 
 
 _NODE = '\n    {\n      "id": %d,\n      "p": %r,\n      "parent": %s\n    }'
@@ -234,18 +238,28 @@ _NODE = '\n    {\n      "id": %d,\n      "p": %r,\n      "parent": %s\n    }'
 
 def _game_chunks(horizon, players, parents, probs, X, Q, Y):
     """Yield ``canonical_bytes`` of the game file with these fields as
-    text pieces.  Only the nodes come from a template (``%r`` is the
-    float repr ``json`` writes): as dicts through :func:`_canonical`, the
-    131,071 nodes of a depth-16 binary tree take 5 to 9 times as long."""
+    text pieces, ``_PIECE`` nodes or values at a time.  Nodes and process
+    arrays come from templates (``%r`` and ``repr`` give the float text
+    ``json`` writes); :func:`_canonical` serves other documents only.  As
+    dicts through it, the 131,071 nodes of a depth-16 binary tree take 5
+    to 9 times as long."""
     yield '{\n  "horizon": %d,\n  "nodes": [' % horizon
     for a in range(0, len(parents), _PIECE):
         yield ("," if a else "") + ",".join([
             _NODE % (v, probs[v], "null" if parents[v] is None else parents[v])
             for v in range(a, min(a + _PIECE, len(parents)))
         ])
-    yield '\n  ],\n  "players": %d,\n  "processes": ' % players
-    yield from _canonical({"Q": Q, "X": X, "Y": Y}, "\n  ")
-    yield "\n}\n"
+    yield '\n  ],\n  "players": %d,\n  "processes": {' % players
+    for name, arrays in (("Q", Q), ("X", X), ("Y", Y)):
+        yield ("" if name == "Q" else ",") + '\n    "%s": [' % name
+        for i, values in enumerate(arrays):
+            yield ("," if i else "") + "\n      ["
+            for a in range(0, len(values), _PIECE):
+                yield ("," if a else "") + "\n        " + ",\n        ".join(
+                    map(repr, values[a:a + _PIECE]))
+            yield "\n      ]"
+        yield "\n    ]"
+    yield "\n  }\n}\n"
 
 
 def _spec_fields(spec: GameSpec) -> tuple:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .game import AssumptionError, GameSpec, validate_assumptions
@@ -144,19 +144,15 @@ def build_report(
         "assumptions": {
             "passed": result.assumptions.passed,
             "strict_tol": result.assumptions.strict_tol,
-            "a3_violations": [
-                asdict(v) for v in result.assumptions.a3_violations
-            ],
-            "a4_violations": [
-                asdict(v) for v in result.assumptions.a4_violations
-            ],
+            "a3_violations": _records(result.assumptions.a3_violations),
+            "a4_violations": _records(result.assumptions.a4_violations),
         },
         "solver": {
             "converged": cand.converged,
             "rounds_used": cand.rounds_used,
             "max_rounds": result.max_rounds,
             "steps": len(result.state.trace),
-            "audit_violations": [asdict(v) for v in result.audit_violations],
+            "audit_violations": _records(result.audit_violations),
         },
         "equilibrium": {
             "players": players,
@@ -171,7 +167,7 @@ def build_report(
             "streamline": {
                 "passed": result.streamline.passed,
                 "tol": result.streamline.tol,
-                "players": [asdict(c) for c in result.streamline.players],
+                "players": _records(result.streamline.players),
             },
             "residual_yq": {
                 "values": list(result.residuals),
@@ -181,6 +177,11 @@ def build_report(
         },
         "trace_file": trace_file,
     }
+
+
+def _records(items) -> list[dict]:
+    """Each dataclass record's fields as a dict: scalars, so no deep copy."""
+    return [dict(vars(item)) for item in items]
 
 
 def write_report(report: dict, path: str) -> None:

@@ -11,7 +11,8 @@ score is the value ``payoff`` gives the time.  Rounding is monotone, so
 the maximizers are picked from the exact sums: an integer maximum, and
 the float tie test only for the sums at or above an integer bound.  The
 witness's obstacles come from :func:`~dynkin.game.cutoff_obstacle`'s
-routine, as the solver's do.
+routine, as the solver's do; the witness builds its envelope over each
+one and checks it in one pass of its own.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from typing import Sequence
 from .game import (
     GameSpec,
     best_response_process,
-    payoff,
+    _check_count,
     _collected,
     _cut_obstacle,
+    _insertion_payoff,
+    _rival_process,
     _rival_time,
     _tie_gap,
 )
@@ -168,21 +171,19 @@ def verify_nash(
     spec: GameSpec, profile: Sequence[StoppingTime], tol: float = EQ_TOL
 ) -> NashCertificate:
     """Compare each player's payoff under the profile against their
-    best response to the rest of it."""
+    best response to the rest of it.  The opponents' earliest stop is
+    derived once per player, for both, after
+    :func:`~dynkin.game.payoff`'s checks in its order."""
     profile = tuple(profile)
+    _check_count(spec, profile)
     entries = []
     for i in range(spec.n_players):
-        j_i = payoff(spec, i, profile)
-        others = tuple(t for j, t in enumerate(profile) if j != i)
-        value, _ = best_response(spec, i, others)
-        entries.append(
-            PlayerCertificate(
-                player=i,
-                equilibrium_payoff=j_i,
-                best_response_value=value,
-                gap=value - j_i,
-            )
-        )
+        _check_stop(spec.tree, profile[i])
+        rival = _rival_time(spec, i, profile[:i] + profile[i + 1:])
+        j_i = _insertion_payoff(spec, i, rival, profile[i])
+        h = _rival_process(spec, i, rival)
+        value = snell_envelope(spec.tree, h).root_value
+        entries.append(PlayerCertificate(i, j_i, value, value - j_i))
     is_nash = all(e.gap <= tol for e in entries)
     return NashCertificate(tuple(entries), is_nash, tol)
 
@@ -235,49 +236,52 @@ def verify_streamline(
     spec: GameSpec, candidate: EquilibriumCandidate, tol: float = EQ_TOL
 ) -> StreamlineCertificate:
     """Check each player's envelope witness (see
-    :class:`StreamlinePlayerCheck`) at the candidate.  Every time of the
-    candidate must live on the spec's tree, else ``TreeError``."""
+    :class:`StreamlinePlayerCheck`) at the candidate.  The candidate must
+    hold one time per player, else ``GameError``, and every time must
+    live on the spec's tree, else ``TreeError``."""
     tree = spec.tree
     children = tree.children
     cond = tree.cond_probs
+    _check_count(spec, candidate.T_star, candidate.R_star_i)
     for tau in (candidate.R_star, *candidate.T_star, *candidate.R_star_i):
         _check_stop(tree, tau)
     joint = _first_on_path(tree, _marks(tree, candidate.R_star.node_by_leaf))
+    last = tree.n_nodes - 1
     checks = []
     for i in range(spec.n_players):
         t_i = candidate.T_star[i]
         r_i = candidate.R_star_i[i]
-        cut, obstacle = _cut_obstacle(spec, i, r_i)
+        cut, w = _cut_obstacle(spec, i, r_i)
         x = spec.X[i]
-        w = snell_envelope(tree, obstacle).envelope
+        ends = [w[a] for a in r_i.node_by_leaf]  # before the pass's writes
 
-        # One walk; on hand-built candidates R_star may pass the cutoff.
+        # One pass, children first: the envelope in place at internal
+        # nodes by ``snell._backward``'s rule, and the checks before either
+        # cut.  On hand-built candidates R_star may pass the cutoff, and a
+        # leaf may lie before a cut (``cont`` is 0.0 there).
         martingale_ok = supermartingale_ok = dominance_ok = True
-        for v in range(tree.n_nodes):
-            before_joint = joint[v] < 0
-            before_cut = cut[v] < 0
-            if not (before_joint or before_cut):
-                continue
+        for v, kids in zip(range(last, -1, -1), reversed(children)):
             cont = 0.0
-            for c in children[v]:
+            for c in kids:
                 cont += cond[c] * w[c]
             u = w[v]
-            if before_joint and not abs(u - cont) <= tol:
+            if kids and not u >= cont - EQ_TOL:
+                u = w[v] = cont
+            if joint[v] < 0 and not abs(u - cont) <= tol:
                 martingale_ok = False
-            if before_cut:
+            if cut[v] < 0:
                 if not u >= cont - tol:
                     supermartingale_ok = False
-                if not w[v] >= x[v] - tol:
+                if not u >= x[v] - tol:
                     dominance_ok = False
         hit_equality_ok = all(
             abs(w[v] - x[v]) <= tol
             for v in t_i.node_by_leaf
             if cut[v] < 0
         )
-
-        # On the cut the obstacle holds the end payoff.
         boundary_ok = all(
-            abs(w[a] - obstacle[a]) <= tol for a in r_i.node_by_leaf
+            abs(w[a] - end) <= tol
+            for a, end in zip(r_i.node_by_leaf, ends)
         )
         y = spec.Y[i]
         q = spec.Q[i]
@@ -306,7 +310,9 @@ def residual_yq(
 ) -> tuple[float, ...]:
     """Per player, the expected Y - Q gap collected where their stop
     coincides with their opponents' earliest stop strictly before the
-    horizon.  Zero for a sound equilibrium."""
+    horizon.  Zero for a sound equilibrium.  The candidate must hold one
+    time per player, else ``GameError``."""
+    _check_count(spec, candidate.T_star, candidate.R_star_i)
     return tuple(
         _tie_gap(spec, i, candidate.T_star[i], candidate.R_star_i[i])
         for i in range(spec.n_players)

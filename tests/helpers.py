@@ -15,7 +15,9 @@ one is checked against, and the node-by-node loader and tree checks
 the whole-array ones are checked against, and the table-and-``fsum``
 oracle the exact per-subtree one is checked against, and the obstacle
 and best-response process the package builders are checked against,
-and the pre-scanning loader the first-fault scanner is checked against.
+and the pre-scanning loader the first-fault scanner is checked against, and
+the two-walk certifiers the one-pass witness and the once-derived Nash
+check are checked against.
 """
 
 from __future__ import annotations
@@ -56,13 +58,15 @@ from dynkin.game import (
     A3Violation,
     A4Violation,
     GameError,
+    payoff,
     _collected,
+    _cut_obstacle,
     _fsum,
     _insertion_payoff,
     _rival_time,
     _tie_gap,
 )
-from dynkin.snell import EQ_TOL, SnellResult
+from dynkin.snell import EQ_TOL, SnellResult, snell_envelope
 from dynkin.tree import (
     DEFAULT_ENUM_CAP,
     PROB_TOL,
@@ -74,7 +78,14 @@ from dynkin.tree import (
     _marks,
     _number,
 )
-from dynkin.verify import BRUTE_TIE_TOL
+from dynkin.verify import (
+    BRUTE_TIE_TOL,
+    NashCertificate,
+    PlayerCertificate,
+    StreamlineCertificate,
+    StreamlinePlayerCheck,
+    best_response,
+)
 
 
 # Parents and probabilities of a tree whose sibling probabilities sum
@@ -835,3 +846,100 @@ def prescan_check_numbers(shaped, where: str) -> None:
                 raise GameParseError(
                     f"{where}: processes.{name}[{i}][{v}] must be a number"
                 )
+
+
+# The certifiers as they stood when the Nash check derived each rival
+# twice (through ``payoff`` and ``best_response``) and the witness took a
+# full ``snell_envelope`` with first hits, then walked the tree again.
+
+def reference_verify_nash(
+    spec: GameSpec, profile: Sequence[StoppingTime], tol: float = EQ_TOL
+) -> NashCertificate:
+    """Compare each player's payoff under the profile against their
+    best response to the rest of it."""
+    profile = tuple(profile)
+    entries = []
+    for i in range(spec.n_players):
+        j_i = payoff(spec, i, profile)
+        others = tuple(t for j, t in enumerate(profile) if j != i)
+        value, _ = best_response(spec, i, others)
+        entries.append(
+            PlayerCertificate(
+                player=i,
+                equilibrium_payoff=j_i,
+                best_response_value=value,
+                gap=value - j_i,
+            )
+        )
+    is_nash = all(e.gap <= tol for e in entries)
+    return NashCertificate(tuple(entries), is_nash, tol)
+
+
+def reference_verify_streamline(
+    spec: GameSpec, candidate, tol: float = EQ_TOL
+) -> StreamlineCertificate:
+    """Check each player's envelope witness (see
+    :class:`StreamlinePlayerCheck`) at the candidate.  Every time of the
+    candidate must live on the spec's tree, else ``TreeError``."""
+    tree = spec.tree
+    children = tree.children
+    cond = tree.cond_probs
+    for tau in (candidate.R_star, *candidate.T_star, *candidate.R_star_i):
+        _check_stop(tree, tau)
+    joint = _first_on_path(tree, _marks(tree, candidate.R_star.node_by_leaf))
+    checks = []
+    for i in range(spec.n_players):
+        t_i = candidate.T_star[i]
+        r_i = candidate.R_star_i[i]
+        cut, obstacle = _cut_obstacle(spec, i, r_i)
+        x = spec.X[i]
+        w = snell_envelope(tree, obstacle).envelope
+
+        # One walk; on hand-built candidates R_star may pass the cutoff.
+        martingale_ok = supermartingale_ok = dominance_ok = True
+        for v in range(tree.n_nodes):
+            before_joint = joint[v] < 0
+            before_cut = cut[v] < 0
+            if not (before_joint or before_cut):
+                continue
+            cont = 0.0
+            for c in children[v]:
+                cont += cond[c] * w[c]
+            u = w[v]
+            if before_joint and not abs(u - cont) <= tol:
+                martingale_ok = False
+            if before_cut:
+                if not u >= cont - tol:
+                    supermartingale_ok = False
+                if not w[v] >= x[v] - tol:
+                    dominance_ok = False
+        hit_equality_ok = all(
+            abs(w[v] - x[v]) <= tol
+            for v in t_i.node_by_leaf
+            if cut[v] < 0
+        )
+
+        # On the cut the obstacle holds the end payoff.
+        boundary_ok = all(
+            abs(w[a] - obstacle[a]) <= tol for a in r_i.node_by_leaf
+        )
+        y = spec.Y[i]
+        q = spec.Q[i]
+        residual_ok = all(
+            abs(y[v] - q[v]) <= tol
+            for v, a in zip(t_i.node_by_leaf, r_i.node_by_leaf)
+            if v == a and not tree.is_leaf(v)
+        )
+
+        checks.append(
+            StreamlinePlayerCheck(
+                player=i,
+                martingale_ok=martingale_ok,
+                supermartingale_ok=supermartingale_ok,
+                dominance_ok=dominance_ok,
+                hit_equality_ok=hit_equality_ok,
+                boundary_ok=boundary_ok,
+                residual_ok=residual_ok,
+            )
+        )
+    return StreamlineCertificate(tuple(checks), tol)

@@ -109,6 +109,15 @@ def _chain_game():
     return GameSpec(tree, procs(), procs(), procs())
 
 
+def _edge_game():
+    """Past one piece, every array cycling through ``EDGE_FLOATS`` from
+    its own offset."""
+    tree = ScenarioTree.uniform(10, 2)  # 2,047 nodes
+    arrays = [[EDGE_FLOATS[(v + k) % len(EDGE_FLOATS)]
+               for v in range(tree.n_nodes)] for k in range(9)]
+    return GameSpec(tree, arrays[:3], arrays[3:6], arrays[6:])
+
+
 @pytest.mark.parametrize("make", [
     _int_game,
     _chain_game,
@@ -116,10 +125,14 @@ def _chain_game():
                            random.Random(15)),
     lambda: demo_constant(3, 2, 3),
     lambda: gen_game(2, 11, 2, seed=4, mode="touching"),
-], ids=["int_payoffs", "chain", "relabeled", "demo", "more_than_a_piece"])
+    _edge_game,
+], ids=["int_payoffs", "chain", "relabeled", "demo", "more_than_a_piece",
+        "edge_floats_past_a_piece"])
 def test_writer_matches_the_reference(make):
     spec = make()
-    assert _written_bytes(spec) == _reference_bytes(spec)
+    reference = _reference_bytes(spec)
+    assert _written_bytes(spec) == reference
+    assert _document_digest(json.loads(reference)) == game_digest(spec)
 
 
 NUMBERS = st.one_of(

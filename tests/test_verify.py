@@ -4,6 +4,7 @@ checks, residual."""
 import dataclasses
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -16,7 +17,9 @@ from dynkin import (
     EquilibriumCandidate,
     GameError,
     GameSpec,
+    NashCertificate,
     ScenarioTree,
+    StoppingTime,
     TreeError,
     best_response,
     brute_force_best_response,
@@ -46,6 +49,8 @@ from helpers import (
     random_tree,
     reference_best_response,
     reference_table_best_response,
+    reference_verify_nash,
+    reference_verify_streamline,
     relabel,
     strictly_before,
     triple_game,
@@ -472,6 +477,122 @@ def test_streamline_rejects_times_on_another_tree():
     ):
         with pytest.raises(TreeError, match="different tree"):
             verify_streamline(spec, bad)
+
+
+@st.composite
+def certifier_cases(draw):
+    """A uniform, irregular, relabeled or chain tree with 2-4 players and
+    ordered payoffs scaled by 2**k, k in [-60, 60], so that the envelope's
+    ``EQ_TOL`` hit test flips; a candidate, the solver's or built from a
+    random profile, perhaps edited by hand (a joint stop that passes a
+    cutoff, cutoffs that are not the others' minimum, or unchecked times
+    stopping off a leaf's path); and a tol."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    players = draw(st.integers(2, 4))
+    shape = draw(st.sampled_from(("uniform", "irregular", "relabeled",
+                                  "chain")))
+    if shape == "uniform":
+        tree = ScenarioTree.uniform(*draw(st.sampled_from(UNIFORM_SHAPES)))
+    elif shape == "chain":
+        tree = chain_tree(rng.randint(1, 30))
+    else:
+        tree = random_tree(rng)
+        if shape == "relabeled":
+            tree = relabel(tree, rng)[0]
+    value = PAYOFFS[draw(st.sampled_from(("uniform", "few", "three")))]
+    # Large scales more often: there the envelope's sums round past
+    # ``EQ_TOL``, and at a cut node it leaves the obstacle.
+    scale = math.ldexp(1.0, draw(st.one_of(st.integers(-60, 60),
+                                           st.integers(30, 60))))
+    xqy = [[sorted(scale * value(rng) for _ in "XQY")
+            for _ in range(tree.n_nodes)] for _ in range(players)]
+    spec = GameSpec(tree, *(
+        [[node[k] for node in proc] for proc in xqy] for k in range(3)
+    ))
+    if draw(st.booleans()):
+        cand = run(spec)[0]
+    else:
+        cand = make_candidate([random_stop(rng, tree, rng.random())
+                               for _ in range(players)])
+
+    def off_path():
+        return StoppingTime(tree, [rng.randrange(tree.n_nodes)
+                                   for _ in tree.leaves])
+
+    edit = draw(st.sampled_from(("none", "late_joint", "loose_cutoffs",
+                                 "off_path")))
+    if edit == "late_joint":
+        cand = dataclasses.replace(cand, R_star=random_stop(rng, tree))
+    elif edit == "loose_cutoffs":
+        cand = dataclasses.replace(cand, R_star_i=tuple(
+            random_stop(rng, tree) for _ in range(players)))
+    elif edit == "off_path":
+        cand = dataclasses.replace(
+            cand,
+            T_star=tuple(off_path() if rng.random() < 0.5 else t
+                         for t in cand.T_star),
+            R_star_i=tuple(off_path() if rng.random() < 0.5 else r
+                           for r in cand.R_star_i),
+            R_star=off_path() if draw(st.booleans()) else cand.R_star,
+        )
+    return spec, cand, draw(st.sampled_from((0.0, 1e-9, 0.05, -0.01)))
+
+
+def _exactly(cert):
+    """A certificate's fields, nested, and its verdict; floats by hex."""
+    def exact(x):
+        if isinstance(x, tuple):
+            return tuple(map(exact, x))
+        return x.hex() if type(x) is float else x
+
+    verdict = (cert.max_gap if isinstance(cert, NashCertificate)
+               else cert.passed)
+    return exact((dataclasses.astuple(cert), verdict))
+
+
+@settings(max_examples=300, deadline=None)
+@given(certifier_cases())
+def test_certifiers_match_the_two_walk_copies_bit_for_bit(case):
+    spec, cand, tol = case
+    assert _exactly(verify_nash(spec, cand.T_star, tol)) == _exactly(
+        reference_verify_nash(spec, cand.T_star, tol))
+    assert _exactly(verify_streamline(spec, cand, tol)) == _exactly(
+        reference_verify_streamline(spec, cand, tol))
+
+
+def _raises_alike(check, reference, *args):
+    with pytest.raises(Exception) as want:
+        reference(*args)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        check(*args)
+
+
+def test_certifier_errors_match_the_two_walk_copies():
+    spec = gen_game(3, 2, 2, seed=3, mode="touching")
+    cand, _ = run(spec)
+    far = horizon_stop(ScenarioTree.uniform(3, 2))
+    T = cand.T_star
+    for profile in (T[:2], T + T[:1], (far, *T[1:]), (*T[:2], far)):
+        _raises_alike(verify_nash, reference_verify_nash, spec, profile)
+    for times in ((far, *T[1:]), (*T[:2], far)):
+        _raises_alike(verify_streamline, reference_verify_streamline, spec,
+                      dataclasses.replace(cand, T_star=times))
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_witness_and_residual_check_the_player_count(count):
+    spec = gen_game(3, 2, 2, seed=8, mode="touching")
+    cand, _ = run(spec)
+    times = (cand.T_star * 2)[:count]
+    message = f"^profile has {count} stopping times for 3 players$"
+    with pytest.raises(GameError, match=message):
+        verify_nash(spec, times)
+    for bad in (make_candidate(times),
+                dataclasses.replace(cand, R_star_i=make_candidate(
+                    times).R_star_i)):
+        for check in (verify_streamline, residual_yq):
+            with pytest.raises(GameError, match=message):
+                check(spec, bad)
 
 
 def test_residual_zero_for_constant_game():
