@@ -160,8 +160,9 @@ def validate_assumptions(
     The order check is exact: a violation is recorded wherever
     ``X > Q`` or ``Q > Y``.  The touching rule applies at internal
     nodes only: whenever some player's Q sits strictly below their Y
-    (tested as ``Y - Q > strict_tol``), every player's X must sit
-    strictly below their Y (tested as ``Y - X > strict_tol``).
+    (tested as ``not Y - Q <= strict_tol``), every player's X must sit
+    strictly below their Y (tested as ``Y - X > strict_tol``), so a NaN
+    ``strict_tol`` triggers the rule everywhere and fails every player.
     Violations come in node order, then player order (order), or
     trigger then blocker order (touching rule).  Both checks compare
     whole per-player arrays.
@@ -193,7 +194,7 @@ def validate_assumptions(
         for v in reversed(tree.internal)
         if some_blocker[v]
         for i in players
-        if Y[i][v] - Q[i][v] > strict_tol
+        if not Y[i][v] - Q[i][v] <= strict_tol  # NaN fails closed
         for j in players
         if blockers[j][v]
     ]

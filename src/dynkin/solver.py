@@ -37,6 +37,7 @@ from .game import GameSpec, _fill_obstacle, end_payoff
 from .snell import EQ_TOL, _backward
 from .tree import (
     StoppingTime,
+    _check_stop,
     _first_on_path,
     _marks,
     horizon_stop,
@@ -314,8 +315,10 @@ def audit_iteration(
     consecutive updates; the earliest optimal stop equals the minimum
     of the new stopping time and the cutoff; the new stopping time
     follows the pathwise update rule; the envelope equals the obstacle
-    at and after the cutoff; and the next update's earliest optimal
-    stop never passes this update's stopping time.
+    at and after the cutoff (a NaN gap or ``tol`` is a violation); and
+    the next update's earliest optimal stop never passes this update's
+    stopping time.  A record's times on different trees raise
+    :class:`~dynkin.tree.TreeError`.
     """
     violations: list[AuditViolation] = []
     if not state.trace:
@@ -332,38 +335,33 @@ def audit_iteration(
                                "earliest optimal stop passes the cutoff")
             )
         prev_rec = by_n.get(rec.n - n_players)
-        prev_tau = (
-            prev_rec.tau if prev_rec is not None else hor
-        )
+        prev_tau = prev_rec.tau if prev_rec is not None else hor
         if not leq(rec.tau, prev_tau):
             violations.append(
                 AuditViolation(rec.n, "tau_monotone",
                                "stopping time increased between updates")
             )
-        if min_stop(rec.tau, rec.theta) != rec.mu:
+        _check_stop(rec.tau.tree, rec.theta)
+        mu = rec.mu.node_by_leaf
+        theta = rec.theta.node_by_leaf
+        tau = rec.tau.node_by_leaf
+        if [t if t <= c else c for t, c in zip(tau, theta)] != list(mu):
             violations.append(
                 AuditViolation(rec.n, "mu_eq_min_tau_theta",
                                "earliest optimal stop is not the minimum "
                                "of the new stop and the cutoff")
             )
-        bad_leaf = None
-        for leaf, m, t, o, got in zip(
-            tree.leaves,
-            rec.mu.node_by_leaf,
-            rec.theta.node_by_leaf,
-            prev_tau.node_by_leaf,
-            rec.tau.node_by_leaf,
-        ):
-            if got != (m if m < t else o):
-                bad_leaf = leaf
-                break
-        if bad_leaf is not None:
+        rule = [m if m < t else o
+                for m, t, o in zip(mu, theta, prev_tau.node_by_leaf)]
+        if rule != list(tau):
+            bad_leaf = next(leaf for leaf, want, got
+                            in zip(tree.leaves, rule, tau) if want != got)
             violations.append(
                 AuditViolation(rec.n, "tau_update_rule",
                                f"update rule broken on the path to leaf "
                                f"{bad_leaf}")
             )
-        if rec.flat_gap > tol:
+        if not rec.flat_gap <= tol:  # a NaN gap or tol fails closed
             violations.append(
                 AuditViolation(rec.n, "envelope_flat_after_cutoff",
                                f"envelope differs from obstacle at "

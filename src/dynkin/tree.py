@@ -71,7 +71,8 @@ class ScenarioTree:
         Every leaf must sit at this depth and it must be at least 1.
 
     The parents and probabilities are checked as whole arrays; a
-    node-by-node loop runs only to name the first fault.
+    node-by-node loop runs only to name the first fault.  One pass over
+    the nodes then builds the children, depths and path probabilities.
 
     ``internal`` holds the internal node ids in decreasing order, every
     child before its parent: the package's one bottom-up order.
@@ -138,8 +139,13 @@ class ScenarioTree:
             raise TreeError(f"root cond_prob must be 1, got {probs[0]!r}")
 
         kids: list[list[int]] = [[] for _ in ids]
+        depth = [0] * n
+        prob = [1.0] * n
         for v in ids[1:]:
-            kids[parents[v]].append(v)
+            p = parents[v]
+            kids[p].append(v)
+            depth[v] = ids[depth[p] + 1]
+            prob[v] = prob[p] * probs[v]
         for v, c in enumerate(kids):
             if c:
                 # one child: its probability, already checked finite
@@ -150,13 +156,6 @@ class ScenarioTree:
                         f"children of node {v} have cond_prob sum {s!r}, "
                         "expected 1"
                     )
-
-        depth = [0] * n
-        prob = [1.0] * n
-        for v in range(1, n):
-            p = parents[v]
-            depth[v] = ids[depth[p] + 1]
-            prob[v] = prob[p] * probs[v]
 
         leaves = tuple(v for v in ids if not kids[v])
         m = depth[leaves[0]]
@@ -394,7 +393,8 @@ def _stop_counts(tree: ScenarioTree) -> list[int]:
 def enumerate_stopping_times(
     tree: ScenarioTree, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[StoppingTime]:
-    """Yield every canonical stopping time, refusing above the cap."""
+    """Yield every canonical stopping time, refusing above the cap (or
+    at a NaN cap) with :class:`EnumerationCapError`."""
     stops, order = _depth_first_stops(tree, cap)
     for nodes in stops:
         yield StoppingTime(tree, map(nodes.__getitem__, order))
@@ -409,7 +409,7 @@ def _depth_first_stops(
     The last tuple stops at every leaf, so it lists the leaves
     depth-first."""
     total = count_stopping_times(tree)
-    if total > cap:
+    if not total <= cap:  # a NaN cap refuses
         raise EnumerationCapError(total, cap)
 
     # At v, every leaf below stops at v.

@@ -72,13 +72,15 @@ def brute_force_best_response(
     ``BRUTE_TIE_TOL`` of it are resolved toward the pathwise-smallest
     maximizer, matching the earliest-hit convention of the envelope
     route; the float tie test runs only on the sums at or above an
-    integer bound that no tied score's sum falls below.
+    integer bound that no tied score's sum falls below.  A tree with
+    more stopping times than ``cap``, or any tree at a NaN cap, raises
+    :class:`~dynkin.tree.EnumerationCapError`.
     """
     tree = spec.tree
     rival = _rival_time(spec, player, others)
     first = _first_on_path(tree, _marks(tree, rival.node_by_leaf))
     counts = _stop_counts(tree)
-    if counts[0] > cap:
+    if not counts[0] <= cap:  # a NaN cap refuses
         raise EnumerationCapError(counts[0], cap)
     # Per node, the exact sum over its leaves of the terms for stopping
     # there, as an integer at one power-of-two scale.
@@ -252,7 +254,7 @@ def verify_streamline(
         t_i = candidate.T_star[i]
         r_i = candidate.R_star_i[i]
         cut, w = _cut_obstacle(spec, i, r_i)
-        x = spec.X[i]
+        x, y, q = spec.X[i], spec.Y[i], spec.Q[i]
         ends = [w[a] for a in r_i.node_by_leaf]  # before the pass's writes
 
         # One pass, children first: the envelope in place at internal
@@ -274,22 +276,14 @@ def verify_streamline(
                     supermartingale_ok = False
                 if not u >= x[v] - tol:
                     dominance_ok = False
-        hit_equality_ok = all(
-            abs(w[v] - x[v]) <= tol
-            for v in t_i.node_by_leaf
-            if cut[v] < 0
-        )
-        boundary_ok = all(
-            abs(w[a] - end) <= tol
-            for a, end in zip(r_i.node_by_leaf, ends)
-        )
-        y = spec.Y[i]
-        q = spec.Q[i]
-        residual_ok = all(
-            abs(y[v] - q[v]) <= tol
-            for v, a in zip(t_i.node_by_leaf, r_i.node_by_leaf)
-            if v == a and not tree.is_leaf(v)
-        )
+        hit_equality_ok = boundary_ok = residual_ok = True
+        for v, a, end in zip(t_i.node_by_leaf, r_i.node_by_leaf, ends):
+            if cut[v] < 0 and not abs(w[v] - x[v]) <= tol:
+                hit_equality_ok = False
+            if not abs(w[a] - end) <= tol:
+                boundary_ok = False
+            if v == a and children[v] and not abs(y[v] - q[v]) <= tol:
+                residual_ok = False
 
         checks.append(
             StreamlinePlayerCheck(

@@ -17,7 +17,9 @@ oracle the exact per-subtree one is checked against, and the obstacle
 and best-response process the package builders are checked against,
 and the pre-scanning loader the first-fault scanner is checked against, and
 the two-walk certifiers the one-pass witness and the once-derived Nash
-check are checked against.
+check are checked against, and the two-pass tree build and the
+``min_stop``-building audit the one-pass build and the list-comparing
+audit are checked against.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ import json
 import math
 import operator
 import random
+from itertools import islice
 from operator import eq, itemgetter
-from typing import Sequence
+from typing import Optional, Sequence
 
 from dynkin import (
     AssumptionReport,
@@ -45,6 +48,7 @@ from dynkin import (
     enumerate_stopping_times,
     horizon_stop,
     init_state,
+    leq,
     make_candidate,
     min_stop,
 )
@@ -617,7 +621,8 @@ def reference_validate_assumptions(
     spec: GameSpec, strict_tol: float = 0.0
 ) -> AssumptionReport:
     """The order and touching-rule checks node by node, player by
-    player."""
+    player; a NaN ``strict_tol`` fails closed (every player triggers
+    and blocks)."""
     tree = spec.tree
     a3 = []
     a4 = []
@@ -630,7 +635,8 @@ def reference_validate_assumptions(
         if tree.is_leaf(v):
             continue
         triggers = [
-            i for i in range(n) if spec.Y[i][v] - spec.Q[i][v] > strict_tol
+            i for i in range(n)
+            if not spec.Y[i][v] - spec.Q[i][v] <= strict_tol
         ]
         if not triggers:
             continue
@@ -943,3 +949,186 @@ def reference_verify_streamline(
             )
         )
     return StreamlineCertificate(tuple(checks), tol)
+
+
+# ``ScenarioTree.__init__`` and ``audit_iteration`` as they stood when
+# the tree build took the children and the depths and path probabilities
+# in two passes, and the audit built a ``min_stop`` per record and
+# walked the update rule leaf by leaf; the one-pass build and the
+# list-comparing audit must give the same attributes, violations and
+# errors.
+
+def reference_tree_attributes(
+    parents: Sequence[Optional[int]],
+    cond_probs: Sequence[float],
+    horizon: Optional[int] = None,
+) -> dict:
+    """The attributes ``ScenarioTree(parents, cond_probs, horizon)``
+    sets, by name, or the first fault raised."""
+    parents = tuple(parents)
+    raw = tuple(cond_probs)
+    floats = set(map(type, raw)) <= {float}  # the common case
+    probs = raw if floats else tuple(map(_number, raw))
+    n = len(parents)
+    if n != len(probs):
+        raise TreeError(
+            f"{n} parent entries but {len(probs)} probability entries"
+        )
+    if n < 2:
+        raise TreeError("a tree needs at least a root and one leaf")
+    if parents[0] is not None:
+        raise TreeError("node 0 must be the root (parent None)")
+    # One int object per id, shared by ``children``, ``leaves`` and
+    # ``depth``.
+    ids = list(range(n))
+    # the parents after the root, uncopied: a copy raises peak memory
+    if not (set(map(type, islice(parents, 1, n))) <= {int}
+            and min(islice(parents, 1, n)) >= 0
+            and all(map(operator.lt, islice(parents, 1, n), range(1, n)))):
+        for v in ids[1:]:
+            p = parents[v]
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise TreeError(f"node {v}: parent must be an integer id")
+            if not 0 <= p < v:
+                raise TreeError(
+                    f"node {v}: parent {p} does not precede it "
+                    "(ids must be topological)"
+                )
+    if not (floats and all(map((0.0).__lt__, probs))
+            and all(map((1.0).__ge__, probs))):  # NaN fails both
+        for v, p in enumerate(probs):
+            if p is None:
+                raise TreeError(
+                    f"node {v}: cond_prob {raw[v]!r} not a number"
+                )
+            if not math.isfinite(p) or not 0.0 < p <= 1.0:
+                raise TreeError(f"node {v}: cond_prob {p!r} not in (0, 1]")
+    if abs(probs[0] - 1.0) > PROB_TOL:
+        raise TreeError(f"root cond_prob must be 1, got {probs[0]!r}")
+
+    kids: list[list[int]] = [[] for _ in ids]
+    for v in ids[1:]:
+        kids[parents[v]].append(v)
+    for v, c in enumerate(kids):
+        if c:
+            # one child: its probability, already checked finite
+            s = probs[c[0]] if len(c) == 1 else math.fsum(
+                map(probs.__getitem__, c))
+            if abs(s - 1.0) > PROB_TOL:
+                raise TreeError(
+                    f"children of node {v} have cond_prob sum {s!r}, "
+                    "expected 1"
+                )
+
+    depth = [0] * n
+    prob = [1.0] * n
+    for v in range(1, n):
+        p = parents[v]
+        depth[v] = ids[depth[p] + 1]
+        prob[v] = prob[p] * probs[v]
+
+    leaves = tuple(v for v in ids if not kids[v])
+    m = depth[leaves[0]]
+    for v in leaves:
+        if depth[v] != m:
+            deeper = v if depth[v] > m else leaves[0]
+            other = leaves[0] if deeper == v else v
+            raise TreeError(
+                f"leaf {other} at depth {depth[other]} but leaf "
+                f"{deeper} at depth {depth[deeper]}: all leaves must "
+                "share one horizon"
+            )
+    if horizon is not None and horizon != m:
+        raise TreeError(
+            f"declared horizon {horizon} but leaves sit at depth {m}"
+        )
+    if m < 1:
+        raise TreeError("horizon must be at least 1")
+
+    return dict(
+        parents=parents,
+        cond_probs=probs,
+        n_nodes=n,
+        horizon=m,
+        depth=tuple(depth),
+        children=tuple(tuple(c) for c in kids),
+        leaves=leaves,
+        internal=tuple(parents[c[0]] for c in reversed(kids) if c),
+        prob=tuple(prob),
+        leaf_probs=tuple(prob[v] for v in leaves),
+    )
+
+
+def reference_audit_iteration(
+    state: SolverState, tol: float = EQ_TOL
+) -> list[AuditViolation]:
+    """Re-check the bookkeeping identities of every recorded update.
+
+    Checked per record: the earliest optimal stop never passes the
+    cutoff; each player's stopping time is non-increasing between its
+    consecutive updates; the earliest optimal stop equals the minimum
+    of the new stopping time and the cutoff; the new stopping time
+    follows the pathwise update rule; the envelope equals the obstacle
+    at and after the cutoff; and the next update's earliest optimal
+    stop never passes this update's stopping time.
+    """
+    violations: list[AuditViolation] = []
+    if not state.trace:
+        return violations
+    by_n = {rec.n: rec for rec in state.trace}
+    n_players = len(state.current)
+    tree = state.trace[0].tau.tree
+    hor = horizon_stop(tree)
+
+    for rec in state.trace:
+        if not leq(rec.mu, rec.theta):
+            violations.append(
+                AuditViolation(rec.n, "mu_leq_theta",
+                               "earliest optimal stop passes the cutoff")
+            )
+        prev_rec = by_n.get(rec.n - n_players)
+        prev_tau = (
+            prev_rec.tau if prev_rec is not None else hor
+        )
+        if not leq(rec.tau, prev_tau):
+            violations.append(
+                AuditViolation(rec.n, "tau_monotone",
+                               "stopping time increased between updates")
+            )
+        if min_stop(rec.tau, rec.theta) != rec.mu:
+            violations.append(
+                AuditViolation(rec.n, "mu_eq_min_tau_theta",
+                               "earliest optimal stop is not the minimum "
+                               "of the new stop and the cutoff")
+            )
+        bad_leaf = None
+        for leaf, m, t, o, got in zip(
+            tree.leaves,
+            rec.mu.node_by_leaf,
+            rec.theta.node_by_leaf,
+            prev_tau.node_by_leaf,
+            rec.tau.node_by_leaf,
+        ):
+            if got != (m if m < t else o):
+                bad_leaf = leaf
+                break
+        if bad_leaf is not None:
+            violations.append(
+                AuditViolation(rec.n, "tau_update_rule",
+                               f"update rule broken on the path to leaf "
+                               f"{bad_leaf}")
+            )
+        if rec.flat_gap > tol:
+            violations.append(
+                AuditViolation(rec.n, "envelope_flat_after_cutoff",
+                               f"envelope differs from obstacle at "
+                               f"node {rec.flat_node} beyond the cutoff")
+            )
+        nxt = by_n.get(rec.n + n_players)
+        if nxt is not None and not leq(nxt.mu, rec.tau):
+            violations.append(
+                AuditViolation(rec.n, "next_mu_leq_tau",
+                               "next update's earliest optimal stop passes "
+                               "this update's stopping time")
+            )
+    return violations

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynkin import (
+    AssumptionError,
     GameError,
     GameSpec,
     ScenarioTree,
@@ -22,6 +23,7 @@ from dynkin import (
     horizon_stop,
     min_stop,
     payoff,
+    solve_and_certify,
     validate_assumptions,
 )
 from dynkin.game import _cut_obstacle
@@ -166,6 +168,29 @@ def test_strict_tol_loosens_the_trigger():
     assert validate_assumptions(spec, strict_tol=1e-9).passed
 
 
+def test_a_nan_strict_tol_fails_closed():
+    t = chain_tree(2)
+    # At both internal nodes player 0 has Q < Y and player 1 has X == Y.
+    spec = GameSpec(t, ((0.0,) * 3, (1.0,) * 3), ((0.5,) * 3, (1.0,) * 3),
+                    ((1.0,) * 3, (1.0,) * 3))
+    assert [(v.node, v.trigger_player, v.blocking_player)
+            for v in validate_assumptions(spec).a4_violations] == [
+                (0, 0, 1), (1, 0, 1)]
+    # At NaN every player triggers and blocks at every internal node.
+    report = validate_assumptions(spec, strict_tol=math.nan)
+    assert not report.passed
+    assert [(v.node, v.trigger_player, v.blocking_player)
+            for v in report.a4_violations] == [
+                (v, i, j) for v in (0, 1) for i in (0, 1) for j in (0, 1)]
+    with pytest.raises(AssumptionError):
+        solve_and_certify(spec, strict_tol=math.nan)
+    # A game that passes at 0 fails at NaN too.
+    strict = gen_game(2, 2, 2, seed=5)
+    assert validate_assumptions(strict).passed
+    with pytest.raises(AssumptionError):
+        solve_and_certify(strict, strict_tol=math.nan)
+
+
 @pytest.mark.parametrize("strict_tol", [0.0, 0.05, -0.05, math.nan], ids=repr)
 def test_whole_array_checks_match_the_node_by_node_reference(strict_tol):
     rng = random.Random(7)
@@ -192,8 +217,8 @@ def test_whole_array_checks_match_the_node_by_node_reference(strict_tol):
             assert got.a4_violations == want.a4_violations
             found[0] += len(want.a3_violations)
             found[1] += len(want.a4_violations)
-    # A NaN tolerance triggers nothing, so it finds no touching violation.
-    assert found[0] and bool(found[1]) is not math.isnan(strict_tol)
+    # A NaN tolerance fails closed: it finds touching violations too.
+    assert found[0] and found[1]
 
 
 def test_end_payoff_uses_q_only_at_leaves():

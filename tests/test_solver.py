@@ -5,11 +5,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkin import (
     GameSpec,
     ScenarioTree,
     SolverState,
+    StoppingTime,
     audit_iteration,
     canonicalize,
     cutoff_obstacle,
@@ -30,12 +33,15 @@ from dynkin import (
     step,
     verify_nash,
 )
+from dynkin.snell import EQ_TOL
 from helpers import (
     audit_deviation_bound,
     chain_tree,
     expect_at,
     random_process,
+    random_stop,
     random_tree,
+    reference_audit_iteration,
     reference_run,
     reference_step,
     relabeled_game,
@@ -251,6 +257,10 @@ def test_audit_flags_an_envelope_gap_after_the_cutoff():
     assert [v.n for v in viols] == [bad_rec.n]
     assert "node 1 " in viols[0].detail
     assert audit_iteration(bad_state, tol=0.5) == []
+    # A NaN tolerance fails closed: every record's flat check fails.
+    viols = audit_iteration(state, tol=math.nan)
+    assert [(v.n, v.check) for v in viols] == [
+        (rec.n, "envelope_flat_after_cutoff") for rec in state.trace]
 
 
 def test_deviation_bound_audit_accepts_clean_runs():
@@ -399,3 +409,75 @@ def test_a_repeated_cutoff_repeats_the_players_record():
                     name, rec.n)
             last[rec.player] = rec
     assert repeats
+
+
+AUDIT_EDITS = ("mu_past_theta", "tau_grows", "broken_rule", "random_time",
+               "flat_gap", "other_tree", "twin_tree", "drop")
+
+
+@st.composite
+def edited_traces(draw):
+    """A solver run's final state with up to three records edited, and a
+    tolerance.  Gaps and tolerances are not NaN: there the audit fails
+    closed and the copy does not."""
+    seed = draw(st.integers(0, 10 ** 6))
+    spec = gen_game(draw(st.integers(2, 3)), draw(st.integers(1, 3)),
+                    draw(st.integers(1, 3)), seed,
+                    mode=draw(st.sampled_from(("strict", "touching"))))
+    _, state = run(spec)
+    tree = spec.tree
+    rng = random.Random(seed)
+    trace = list(state.trace)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(trace) - 1))
+        rec = trace[k]
+        edit = draw(st.sampled_from(AUDIT_EDITS))
+        field = draw(st.sampled_from(("mu", "theta", "tau")))
+        if edit == "mu_past_theta":
+            rec = dataclasses.replace(rec, theta=canonicalize([0], tree))
+        elif edit == "tau_grows":
+            rec = dataclasses.replace(rec, tau=horizon_stop(tree))
+        elif edit == "broken_rule":
+            nodes = list(rec.tau.node_by_leaf)
+            j = draw(st.integers(0, len(nodes) - 1))
+            nodes[j] = 0 if nodes[j] else tree.leaves[j]
+            rec = dataclasses.replace(rec, tau=StoppingTime(tree, nodes))
+        elif edit == "random_time":
+            rec = dataclasses.replace(rec, **{field: random_stop(rng, tree)})
+        elif edit == "flat_gap":
+            rec = dataclasses.replace(
+                rec, flat_gap=draw(st.sampled_from(
+                    (0.0, 1e-9, 2e-9, 0.5, math.inf))),
+                flat_node=draw(st.integers(0, tree.n_nodes - 1)))
+        elif edit == "other_tree":
+            other = ScenarioTree.uniform(tree.horizon + 1, 2)
+            rec = dataclasses.replace(rec, **{field: horizon_stop(other)})
+        elif edit == "twin_tree":  # an equal tree, another object
+            twin = ScenarioTree(tree.parents, tree.cond_probs)
+            nodes = getattr(rec, field).node_by_leaf
+            rec = dataclasses.replace(
+                rec, **{field: StoppingTime(twin, nodes)})
+        if edit == "drop" and len(trace) > 1:
+            del trace[k]
+        else:
+            trace[k] = rec
+    tol = draw(st.sampled_from((0.0, EQ_TOL, 0.5)))
+    return dataclasses.replace(state, trace=tuple(trace)), tol
+
+
+def _audited(audit, state, tol):
+    """Every violation's fields, or the error's class and message."""
+    try:
+        return [(v.n, v.check, v.detail) for v in audit(state, tol)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# The list-comparing audit against the ``min_stop``-building copy in
+# helpers: the same violations in the same order, or the same error.
+@settings(max_examples=300, deadline=None)
+@given(edited_traces())
+def test_audit_matches_the_min_stop_copy(case):
+    state, tol = case
+    assert _audited(audit_iteration, state, tol) == _audited(
+        reference_audit_iteration, state, tol)

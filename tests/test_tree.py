@@ -33,6 +33,7 @@ from helpers import (
     reference_count_stopping_times,
     reference_depth_first_stops,
     reference_snell_envelope,
+    reference_tree_attributes,
     reference_tree_checks,
     relabel,
 )
@@ -302,6 +303,14 @@ def test_enumeration_cap_names_the_count():
     assert exc.value.count == 458330
 
 
+def test_a_nan_enumeration_cap_refuses():
+    t = binary(2)  # 5 stopping times
+    with pytest.raises(EnumerationCapError) as exc:
+        next(enumerate_stopping_times(t, cap=math.nan))
+    assert exc.value.count == 5
+    assert str(exc.value).endswith("the enumeration cap of nan")
+
+
 def test_enumeration_cap_survives_a_huge_count():
     # the count on a depth-15 binary tree has over 4,300 digits
     t = binary(15)
@@ -489,3 +498,70 @@ def test_kernels_over_internal_match_the_references(tree, seed):
         assert got.value.count == exc.count
     else:
         assert _depth_first_stops(tree, cap) == want
+
+
+TREE_FAULTS = (
+    None, "bool_parent", "float_parent", "negative_parent", "late_parent",
+    "bool_prob", "string_prob", "nan_prob", "zero_prob", "big_prob",
+    "sibling_sum", "uneven_leaves", "wrong_horizon",
+)
+
+
+@st.composite
+def tree_inputs(draw):
+    """The parents, probabilities and declared horizon of a
+    ``kernel_trees()`` tree, with at most one fault put in."""
+    tree = draw(kernel_trees())
+    parents, probs = list(tree.parents), list(tree.cond_probs)
+    horizon = draw(st.sampled_from((None, tree.horizon)))
+    n = tree.n_nodes
+    v = draw(st.integers(1, n - 1))
+    fault = draw(st.sampled_from(TREE_FAULTS))
+    if fault == "bool_parent":
+        parents[v] = draw(st.booleans())
+    elif fault == "float_parent":
+        parents[v] = float(parents[v])
+    elif fault == "negative_parent":
+        parents[v] = -draw(st.integers(1, 3))
+    elif fault == "late_parent":
+        parents[v] = draw(st.integers(v, n))
+    elif fault == "uneven_leaves":
+        parents.append(draw(st.sampled_from(tree.leaves)))
+        probs.append(1.0)
+    elif fault == "wrong_horizon":
+        horizon = tree.horizon + draw(st.sampled_from((-1, 1)))
+    elif fault is not None:
+        v = draw(st.integers(0, n - 1))  # the root's entry too
+        probs[v] = {
+            "bool_prob": True,
+            "string_prob": str(probs[v]),
+            "nan_prob": math.nan,
+            "zero_prob": 0.0,
+            "big_prob": draw(st.sampled_from((1.5, math.nextafter(1.0, 2)))),
+            "sibling_sum": probs[v] + draw(st.sampled_from((1e-11, -1e-11))),
+        }[fault]
+    return parents, probs, horizon
+
+
+def _built(build, *args):
+    """What a build gives: its attributes, or its error's class and
+    message."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _tree_attributes(*args):
+    tree = ScenarioTree(*args)
+    return {name: getattr(tree, name) for name in ScenarioTree.__slots__}
+
+
+# The one-pass build against the two-pass copy in helpers: every
+# attribute (the probabilities are positive, so ``==`` compares them bit
+# for bit), or the same first fault.
+@settings(max_examples=500, deadline=None)
+@given(tree_inputs())
+def test_tree_build_matches_the_two_pass_copy(case):
+    assert _built(_tree_attributes, *case) == _built(
+        reference_tree_attributes, *case)

@@ -313,6 +313,9 @@ def test_oracle_errors_keep_their_order(monkeypatch):
     with pytest.raises(EnumerationCapError) as exc:
         brute_force_best_response(spec, 0, [root, root], cap=-5)
     assert str(exc.value).endswith("the enumeration cap of -5")
+    with pytest.raises(EnumerationCapError) as exc:
+        brute_force_best_response(spec, 0, [root, root], cap=math.nan)
+    assert str(exc.value).endswith("the enumeration cap of nan")
 
 
 def test_best_response_dominates_every_insertion():
