@@ -14,9 +14,10 @@ returned equilibrium candidate.
 :func:`run` owns one cache per player and hands the dict to every
 :func:`step` through the private keyword ``_caches``.  A cache holds the
 player's last record and, per node, its end payoff, envelope, hit
-flags, first hits and flat-check gaps.  An update recomputes only the
+flags and flat-check gaps.  An update recomputes these only on the
 root paths of the leaves whose cutoff stop moved (``_update``), with
-the arithmetic of a full pass, so its record is bit for bit the full
+the arithmetic of a full pass, then takes its first hits from one full
+cut walk over the hit flags, so its record is bit for bit the full
 recomputation's.  A cutoff equal to the player's previous one is a
 no-op: the update rule ``m if m < t else o`` is idempotent for a fixed
 earliest optimal stop and cutoff, so the player's previous record
@@ -115,11 +116,11 @@ def init_state(spec: GameSpec) -> SolverState:
 
 class _Cache:
     """One player's last update: its record and, per node, the end
-    payoff, and the envelope, hit flags, first hits and flat-check gaps
-    against the record's cutoff.  Empty (``record`` None) before the
-    player's first update."""
+    payoff, and the envelope, hit flags and flat-check gaps against the
+    record's cutoff.  Empty (``record`` None) before the player's first
+    update."""
 
-    __slots__ = ("record", "ep", "w", "hit", "first", "gaps")
+    __slots__ = ("record", "ep", "w", "hit", "gaps")
 
     def __init__(self):
         self.record = None
@@ -127,10 +128,14 @@ class _Cache:
 
 def step(state: SolverState, spec: GameSpec, *, _caches=None) -> SolverState:
     """Advance the iteration by one player update; ``_caches`` is
-    :func:`run`'s per-player cache dict, else the update starts fresh."""
+    :func:`run`'s per-player cache dict, else the update starts fresh.
+    Every current time must live on the spec's tree with one stop per
+    leaf, else :class:`~dynkin.tree.TreeError`."""
     tree = spec.tree
     n_next = state.n + 1
     player = state.n % spec.n_players
+    for tau in state.current:
+        _check_stop(tree, tau)
     theta = min_stop(*(t for j, t in enumerate(state.current) if j != player))
     old = state.current[player]
     caches = {} if _caches is None else _caches
@@ -181,11 +186,10 @@ def _update(spec: GameSpec, player: int, theta: StoppingTime, cache: _Cache):
     Only the root paths of the leaves whose cutoff stop moved are
     recomputed, in the same order and with the same arithmetic as a full
     pass: the cut and the obstacle top-down, the envelope and the hit
-    flags bottom-up, then first hits top-down and below every node off
-    those paths whose parent's first hit moved.  An empty cache counts
-    every leaf as moved.  Cutoffs are canonical, so a node off the moved
-    paths keeps its cut, and a node on them is a stop only of moved
-    leaves.
+    flags bottom-up.  The first hits then come from one full cut walk
+    over the hit flags.  An empty cache counts every leaf as moved.
+    Cutoffs are canonical, so a node off the moved paths keeps its cut,
+    and a node on them is a stop only of moved leaves.
     """
     tree = spec.tree
     n = tree.n_nodes
@@ -193,7 +197,6 @@ def _update(spec: GameSpec, player: int, theta: StoppingTime, cache: _Cache):
         cache.ep = end_payoff(spec, player)
         cache.w = [0.0] * n
         cache.hit = _marks(tree, tree.leaves)  # every leaf is a hit
-        cache.first = [-1] * n
         # A leaf is at or after every cutoff, and its envelope is its
         # obstacle, which is finite: its gap is 0.0 for good.
         cache.gaps = [0.0] * n
@@ -204,28 +207,17 @@ def _update(spec: GameSpec, player: int, theta: StoppingTime, cache: _Cache):
         ))
         leaves = list(compress(tree.leaves, moved))
         stops = list(compress(theta.node_by_leaf, moved))
-    if len(leaves) == len(tree.leaves):  # every root path: every node
-        internal, hanging = tree.internal, ()
-    else:
-        internal, hanging = _root_paths(tree, leaves)
+    # every moved root path, or every node when every leaf moved
+    internal = (tree.internal if len(leaves) == len(tree.leaves)
+                else _root_paths(tree, leaves))
     down = [*reversed(internal), *leaves]  # every parent first
 
     # The envelope is built in place over the obstacle.
-    w, hit, first, gaps = cache.w, cache.hit, cache.first, cache.gaps
-    ep = cache.ep
+    w, hit, gaps, ep = cache.w, cache.hit, cache.gaps, cache.ep
     cut = _first_on_path(tree, _marks(tree, stops), down, [-1] * n)
     _fill_obstacle(w, down, cut, spec.X[player], ep)
     _backward(tree, w, hit, internal)
-
-    _first_on_path(tree, hit, down, first)
-    parents, children = tree.parents, tree.children
-    for c in hanging:  # off the paths, so its hit flag has not moved
-        a = first[parents[c]]
-        if (a if a >= 0 else c if hit[c] else -1) != first[c]:
-            below = [c]  # the whole subtree inherits the change
-            for u in below:
-                below += children[u]
-            _first_on_path(tree, hit, below, first)
+    first = _first_on_path(tree, hit)
 
     # At and after the cutoff the obstacle is the cut node's end payoff,
     # and at a hit the envelope is the obstacle.
@@ -245,7 +237,7 @@ def _update(spec: GameSpec, player: int, theta: StoppingTime, cache: _Cache):
 
 def _root_paths(tree, leaves):
     """The internal nodes on the root paths of ``leaves``, children
-    first, and the nodes off those paths whose parent is on one."""
+    first."""
     parents = tree.parents
     on = bytearray(tree.n_nodes)
     internal = []
@@ -257,8 +249,7 @@ def _root_paths(tree, leaves):
             internal.append(v)
             v = parents[v]
     internal.sort(reverse=True)
-    children = tree.children
-    return internal, [c for v in internal for c in children[v] if not on[c]]
+    return internal
 
 
 def default_round_bound(spec: GameSpec) -> int:
@@ -317,7 +308,8 @@ def audit_iteration(
     follows the pathwise update rule; the envelope equals the obstacle
     at and after the cutoff (a NaN gap or ``tol`` is a violation); and
     the next update's earliest optimal stop never passes this update's
-    stopping time.  A record's times on different trees raise
+    stopping time.  A record's times on different trees, or with a
+    stop count other than the leaf count, raise
     :class:`~dynkin.tree.TreeError`.
     """
     violations: list[AuditViolation] = []
@@ -341,18 +333,16 @@ def audit_iteration(
                 AuditViolation(rec.n, "tau_monotone",
                                "stopping time increased between updates")
             )
-        _check_stop(rec.tau.tree, rec.theta)
-        mu = rec.mu.node_by_leaf
-        theta = rec.theta.node_by_leaf
-        tau = rec.tau.node_by_leaf
-        if [t if t <= c else c for t, c in zip(tau, theta)] != list(mu):
+        if min_stop(rec.tau, rec.theta) != rec.mu:
             violations.append(
                 AuditViolation(rec.n, "mu_eq_min_tau_theta",
                                "earliest optimal stop is not the minimum "
                                "of the new stop and the cutoff")
             )
-        rule = [m if m < t else o
-                for m, t, o in zip(mu, theta, prev_tau.node_by_leaf)]
+        tau = rec.tau.node_by_leaf
+        rule = [m if m < t else o for m, t, o in zip(
+            rec.mu.node_by_leaf, rec.theta.node_by_leaf,
+            prev_tau.node_by_leaf)]
         if rule != list(tau):
             bad_leaf = next(leaf for leaf, want, got
                             in zip(tree.leaves, rule, tau) if want != got)

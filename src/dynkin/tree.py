@@ -172,8 +172,6 @@ class ScenarioTree:
             raise TreeError(
                 f"declared horizon {horizon} but leaves sit at depth {m}"
             )
-        if m < 1:
-            raise TreeError("horizon must be at least 1")
 
         self.parents = parents
         self.cond_probs = probs
@@ -258,7 +256,9 @@ class StoppingTime:
     derived on each access.  Node sets from outside come in through
     :func:`canonicalize`; inside the package (:func:`horizon_stop`,
     :func:`min_stop`, the enumeration, the envelope, the solver) valid
-    per-leaf stops are built directly, unchecked.  Instances are
+    per-leaf stops are built directly, unchecked.  Every routine that
+    computes with a time checks that it lives on the routine's tree and
+    has one stop per leaf, else :class:`TreeError`.  Instances are
     immutable.
     """
 
@@ -291,8 +291,12 @@ class StoppingTime:
 
 
 def _check_stop(tree: ScenarioTree, tau: StoppingTime) -> None:
+    """``tau`` lives on ``tree`` and has one stop per leaf."""
     if tau.tree is not tree and tau.tree != tree:
         raise TreeError("stopping time lives on a different tree")
+    if len(tau.node_by_leaf) != len(tree.leaves):
+        raise TreeError(f"stopping time has {len(tau.node_by_leaf)} stops "
+                        f"for {len(tree.leaves)} leaves")
 
 
 def _marks(tree: ScenarioTree, stops: Iterable[int]) -> bytearray:
@@ -359,6 +363,7 @@ def min_stop(*taus: StoppingTime) -> StoppingTime:
     if not taus:
         raise TreeError("min_stop needs at least one stopping time")
     out = taus[0]
+    _check_stop(out.tree, out)
     for tau in taus[1:]:
         _check_stop(out.tree, tau)
         out = StoppingTime(out.tree, [
@@ -370,6 +375,7 @@ def min_stop(*taus: StoppingTime) -> StoppingTime:
 
 def leq(first: StoppingTime, second: StoppingTime) -> bool:
     """Whether ``first`` stops no later than ``second`` on every path."""
+    _check_stop(first.tree, first)
     _check_stop(first.tree, second)
     return all(map(operator.le, first.node_by_leaf, second.node_by_leaf))
 

@@ -305,8 +305,11 @@ def residual_yq(
     """Per player, the expected Y - Q gap collected where their stop
     coincides with their opponents' earliest stop strictly before the
     horizon.  Zero for a sound equilibrium.  The candidate must hold one
-    time per player, else ``GameError``."""
+    time per player, else ``GameError``, and every time it reads must
+    live on the spec's tree with one stop per leaf, else ``TreeError``."""
     _check_count(spec, candidate.T_star, candidate.R_star_i)
+    for tau in (*candidate.T_star, *candidate.R_star_i):
+        _check_stop(spec.tree, tau)
     return tuple(
         _tie_gap(spec, i, candidate.T_star[i], candidate.R_star_i[i])
         for i in range(spec.n_players)

@@ -19,15 +19,17 @@ and the pre-scanning loader the first-fault scanner is checked against, and
 the two-walk certifiers the one-pass witness and the once-derived Nash
 check are checked against, and the two-pass tree build and the
 ``min_stop``-building audit the one-pass build and the list-comparing
-audit are checked against.
+audit are checked against, and a loader for ``tools/exact_gap.py``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import math
 import operator
+import os
 import random
 from itertools import islice
 from operator import eq, itemgetter
@@ -1132,3 +1134,16 @@ def reference_audit_iteration(
                                "this update's stopping time")
             )
     return violations
+
+
+EXACT_GAP_TOOL = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tools", "exact_gap.py")
+
+
+def exact_gap_tool():
+    """``tools/exact_gap.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("exact_gap", EXACT_GAP_TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

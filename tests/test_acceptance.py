@@ -7,6 +7,7 @@ and prints a single PASS/FAIL line (visible with ``pytest -s``).
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -29,11 +30,14 @@ from dynkin import (
     verify_streamline,
 )
 from dynkin.cli import main
+from dynkin.report import build_report, solve_and_certify, write_report
+from dynkin.snell import EQ_TOL
 from dynkin.solver import audit_iteration
 from helpers import (
     audit_deviation_bound,
     chain_tree,
     depth_stop,
+    exact_gap_tool,
     expect_at,
     game_document,
     one_step_holds,
@@ -258,3 +262,39 @@ def test_criterion_7_negative_controls(tmp_path, capsys):
         failures.append(("non-equilibrium profile", code, out.strip()))
 
     _report(7, "negative controls", failures)
+
+
+def test_criterion_8_exact_gaps(sweep, tmp_path):
+    """Each sweep game's report, read back by ``tools/exact_gap.py``: its
+    ``nash_gap`` lies within a stated bound of the exact gap.
+
+    With u = 2**-53, horizon M, branching b and S the largest |payoff|:
+    the float payoff sums leaf terms, each a product of M + 1 floats, by
+    ``fsum``, off by at most (M + 2) u S; the envelope's root value adds
+    b products per level with ``+=``, at most 2 b u S per level, and its
+    hit test takes a stop up to ``EQ_TOL`` below going on, at most once
+    per level of a path, which only lowers it; the gap's subtraction
+    rounds once more.  Binary branches have p = 1/2 exactly, so the
+    float recursion and the exact per-leaf sums weigh paths alike.
+    """
+    tool = exact_gap_tool()
+    results, _ = sweep
+    failures = []
+    game_path, report_path = tmp_path / "game.json", tmp_path / "report.json"
+    for k, spec, *_ in results:
+        save_game(spec, str(game_path))
+        write_report(build_report(spec, solve_and_certify(spec)),
+                     str(report_path))
+        report = json.loads(report_path.read_text())
+        exact = tool.exact_gaps(json.loads(game_path.read_text()),
+                                tool.stop_sets(report))
+        m, b = spec.tree.horizon, 2
+        scale = max(abs(v) for procs in (spec.X, spec.Q, spec.Y)
+                    for proc in procs for v in proc)
+        rounding = ((2 * b + 1) * (m + 1) + 2) * 2**-53 * scale
+        for entry, (_, _, gap) in zip(report["equilibrium"]["players"],
+                                      exact):
+            off = Fraction(entry["nash_gap"]) - gap
+            if not -m * EQ_TOL - rounding <= off <= rounding:
+                failures.append((k, entry["player"], float(off)))
+    _report(8, "report gaps against exact gaps", failures)

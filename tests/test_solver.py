@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynkin import (
@@ -13,6 +13,7 @@ from dynkin import (
     ScenarioTree,
     SolverState,
     StoppingTime,
+    TreeError,
     audit_iteration,
     canonicalize,
     cutoff_obstacle,
@@ -26,12 +27,14 @@ from dynkin import (
     make_candidate,
     min_stop,
     payoff,
+    residual_yq,
     run,
     snell_envelope,
     solve_and_certify,
     solver,
     step,
     verify_nash,
+    verify_streamline,
 )
 from dynkin.snell import EQ_TOL
 from helpers import (
@@ -473,11 +476,67 @@ def _audited(audit, state, tol):
         return type(exc), str(exc)
 
 
+def _short_mu_case():
+    """A 9-leaf game whose first record's ``mu`` holds 8 stops, on a tree
+    equal to the game's: the audit's per-leaf lists would truncate."""
+    spec = gen_game(2, 2, 3, 1)
+    _, state = run(spec)
+    twin = ScenarioTree(spec.tree.parents, spec.tree.cond_probs)
+    short = StoppingTime(
+        twin, horizon_stop(ScenarioTree.uniform(3, 2)).node_by_leaf)
+    trace = (dataclasses.replace(state.trace[0], mu=short),
+             *state.trace[1:])
+    return dataclasses.replace(state, trace=trace), EQ_TOL
+
+
 # The list-comparing audit against the ``min_stop``-building copy in
 # helpers: the same violations in the same order, or the same error.
 @settings(max_examples=300, deadline=None)
 @given(edited_traces())
+@example(_short_mu_case())
 def test_audit_matches_the_min_stop_copy(case):
     state, tol = case
     assert _audited(audit_iteration, state, tol) == _audited(
         reference_audit_iteration, state, tol)
+
+
+def _short_time_calls(spec, cand, state, bad):
+    """Every reader of stopping times, each handed ``bad`` once."""
+    good = cand.T_star[0]
+    t_star = (bad, *cand.T_star[1:])
+    record = dataclasses.replace(state.trace[0], tau=bad)
+    return {
+        "verify_streamline": lambda: verify_streamline(
+            spec, dataclasses.replace(cand, T_star=t_star)),
+        "verify_nash": lambda: verify_nash(spec, t_star),
+        "payoff_own": lambda: payoff(spec, 0, t_star),
+        "payoff_rival": lambda: payoff(spec, 1, t_star),
+        "residual_yq": lambda: residual_yq(
+            spec, dataclasses.replace(cand, T_star=t_star)),
+        "min_stop_alone": lambda: min_stop(bad),
+        "min_stop_first": lambda: min_stop(bad, good),
+        "min_stop_second": lambda: min_stop(good, bad),
+        "leq_first": lambda: leq(bad, good),
+        "leq_second": lambda: leq(good, bad),
+        "step_own": lambda: step(
+            SolverState(2, t_star, state.trace), spec),
+        "step_rival": lambda: step(
+            SolverState(3, t_star, state.trace), spec),
+        "audit_iteration": lambda: audit_iteration(dataclasses.replace(
+            state, trace=(record, *state.trace[1:]))),
+    }
+
+
+@pytest.mark.parametrize("short", ("no_stops", "one_short"))
+def test_a_time_with_the_wrong_stop_count_is_refused(short):
+    spec = gen_game(2, 3, 2, seed=4)
+    cand, state = run(spec)
+    leaves = len(spec.tree.leaves)
+    nodes = cand.T_star[0].node_by_leaf
+    bad = StoppingTime(spec.tree, () if short == "no_stops" else nodes[1:])
+    want = (f"stopping time has {len(bad.node_by_leaf)} stops for "
+            f"{leaves} leaves")
+    for name, call in _short_time_calls(spec, cand, state, bad).items():
+        with pytest.raises(TreeError) as err:
+            call()
+        assert str(err.value) == want, name
