@@ -189,24 +189,18 @@ class ScenarioTree:
     @classmethod
     def uniform(cls, depth: int, branching: int) -> "ScenarioTree":
         """Tree where every internal node has ``branching`` equally
-        likely children, down to the given depth."""
+        likely children, down to the given depth.
+
+        Ids go level by level, so node ``v > 0`` has parent
+        ``(v - 1) // branching`` and ``cond_prob`` ``1 / branching``."""
         if depth < 1:
             raise TreeError("horizon must be at least 1")
         if branching < 1:
             raise TreeError("branching must be at least 1")
-        parents: list[Optional[int]] = [None]
-        probs = [1.0]
-        p = 1.0 / branching
-        frontier = [0]
-        for _ in range(depth):
-            nxt = []
-            for v in frontier:
-                for _ in range(branching):
-                    parents.append(v)
-                    probs.append(p)
-                    nxt.append(len(parents) - 1)
-            frontier = nxt
-        return cls(parents, probs)
+        internal = range(sum(branching**d for d in range(depth)))
+        # one int object per parent, shared by its children
+        parents = [None] + [v for v in internal for _ in range(branching)]
+        return cls(parents, [1.0] + [1.0 / branching] * (len(parents) - 1))
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
@@ -385,14 +379,18 @@ def count_stopping_times(tree: ScenarioTree) -> int:
     return _stop_counts(tree)[0]
 
 
-def _stop_counts(tree: ScenarioTree) -> list[int]:
-    """Per node, the number of canonical stopping times of its subtree."""
+def _stop_counts(tree: ScenarioTree, cap: float = math.inf) -> list[int]:
+    """Per node, the number of canonical stopping times of its subtree;
+    :class:`EnumerationCapError` if the tree has more than ``cap`` (or
+    at a NaN cap): the one enumeration cap check."""
     s = [1] * tree.n_nodes
     for v in tree.internal:
         prod = 1
         for c in tree.children[v]:
             prod *= s[c]
         s[v] = 1 + prod
+    if not s[0] <= cap:  # a NaN cap refuses
+        raise EnumerationCapError(s[0], cap)
     return s
 
 
@@ -414,10 +412,7 @@ def _depth_first_stops(
     and the positions that put such a tuple in ``tree.leaves`` order.
     The last tuple stops at every leaf, so it lists the leaves
     depth-first."""
-    total = count_stopping_times(tree)
-    if not total <= cap:  # a NaN cap refuses
-        raise EnumerationCapError(total, cap)
-
+    _stop_counts(tree, cap)
     # At v, every leaf below stops at v.
     stops = _joined(
         tree, lambda v, combos: (v,) * (len(combos[0]) if combos else 1)

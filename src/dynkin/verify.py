@@ -36,7 +36,6 @@ from .game import (
 from .snell import EQ_TOL, snell_envelope
 from .solver import EquilibriumCandidate
 from .tree import (
-    EnumerationCapError,
     StoppingTime,
     _check_stop,
     _first_on_path,
@@ -79,9 +78,7 @@ def brute_force_best_response(
     tree = spec.tree
     rival = _rival_time(spec, player, others)
     first = _first_on_path(tree, _marks(tree, rival.node_by_leaf))
-    counts = _stop_counts(tree)
-    if not counts[0] <= cap:  # a NaN cap refuses
-        raise EnumerationCapError(counts[0], cap)
+    counts = _stop_counts(tree, cap)
     # Per node, the exact sum over its leaves of the terms for stopping
     # there, as an integer at one power-of-two scale.
     parents, prob = tree.parents, tree.prob

@@ -19,7 +19,9 @@ and the pre-scanning loader the first-fault scanner is checked against, and
 the two-walk certifiers the one-pass witness and the once-derived Nash
 check are checked against, and the two-pass tree build and the
 ``min_stop``-building audit the one-pass build and the list-comparing
-audit are checked against, and a loader for ``tools/exact_gap.py``.
+audit are checked against, the frontier construction the id-rule
+uniform tree is checked against, and loaders for ``tools/exact_gap.py``
+and ``tools/same_outputs.py``.
 """
 
 from __future__ import annotations
@@ -1061,6 +1063,24 @@ def reference_tree_attributes(
     )
 
 
+def reference_uniform(depth: int, branching: int):
+    """The parents and probabilities of ``ScenarioTree.uniform``, built
+    by walking a breadth-first frontier."""
+    parents: list[Optional[int]] = [None]
+    probs = [1.0]
+    p = 1.0 / branching
+    frontier = [0]
+    for _ in range(depth):
+        nxt = []
+        for v in frontier:
+            for _ in range(branching):
+                parents.append(v)
+                probs.append(p)
+                nxt.append(len(parents) - 1)
+        frontier = nxt
+    return parents, probs
+
+
 def reference_audit_iteration(
     state: SolverState, tol: float = EQ_TOL
 ) -> list[AuditViolation]:
@@ -1136,14 +1156,23 @@ def reference_audit_iteration(
     return violations
 
 
-EXACT_GAP_TOOL = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "tools", "exact_gap.py")
+TOOLS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+EXACT_GAP_TOOL = os.path.join(TOOLS, "exact_gap.py")
 
 
-def exact_gap_tool():
-    """``tools/exact_gap.py`` as a module."""
-    spec = importlib.util.spec_from_file_location("exact_gap", EXACT_GAP_TOOL)
+def _tool(name: str):
+    """``tools/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(TOOLS, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def exact_gap_tool():
+    return _tool("exact_gap")
+
+
+def same_outputs_tool():
+    return _tool("same_outputs")

@@ -35,6 +35,7 @@ from helpers import (
     reference_snell_envelope,
     reference_tree_attributes,
     reference_tree_checks,
+    reference_uniform,
     relabel,
 )
 
@@ -77,6 +78,17 @@ def test_tree_shape_binary_depth_2():
     assert t.internal == (2, 1, 0)
     assert t.children[0] == (1, 2)
     assert t.depth == (0, 1, 1, 2, 2, 2, 2)
+
+
+# The id rule against the frontier construction it replaced: equal
+# parents and probabilities (``==`` on positive floats is bit for bit).
+@pytest.mark.parametrize("branching", range(1, 6))
+def test_uniform_tree_matches_the_frontier_copy(branching):
+    for depth in range(1, 9):
+        tree = ScenarioTree.uniform(depth, branching)
+        parents, probs = reference_uniform(depth, branching)
+        assert tree.parents == tuple(parents), depth
+        assert tree.cond_probs == tuple(probs), depth
 
 
 def test_tree_rejects_zero_horizon():
