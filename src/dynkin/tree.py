@@ -376,13 +376,13 @@ def leq(first: StoppingTime, second: StoppingTime) -> bool:
 
 def count_stopping_times(tree: ScenarioTree) -> int:
     """Number of canonical stopping times the tree admits."""
-    return _stop_counts(tree)[0]
+    return _stop_counts(tree)
 
 
-def _stop_counts(tree: ScenarioTree, cap: float = math.inf) -> list[int]:
-    """Per node, the number of canonical stopping times of its subtree;
-    :class:`EnumerationCapError` if the tree has more than ``cap`` (or
-    at a NaN cap): the one enumeration cap check."""
+def _stop_counts(tree: ScenarioTree, cap: float = math.inf) -> int:
+    """The number of canonical stopping times of the tree;
+    :class:`EnumerationCapError` if it is more than ``cap`` (or at a
+    NaN cap): the one enumeration cap check."""
     s = [1] * tree.n_nodes
     for v in tree.internal:
         prod = 1
@@ -391,7 +391,7 @@ def _stop_counts(tree: ScenarioTree, cap: float = math.inf) -> list[int]:
         s[v] = 1 + prod
     if not s[0] <= cap:  # a NaN cap refuses
         raise EnumerationCapError(s[0], cap)
-    return s
+    return s[0]
 
 
 def enumerate_stopping_times(

@@ -8,16 +8,17 @@ sums the terms :func:`~dynkin.game.payoff` sums (per leaf, its
 probability times the raw X, Q or Y value collected) exactly, as
 integers shared over subtrees, and rounds each time's sum once: each
 score is the value ``payoff`` gives the time.  Rounding is monotone, so
-the maximizers are picked from the exact sums: an integer maximum, and
-the float tie test only for the sums at or above an integer bound.  The
-witness's obstacles come from :func:`~dynkin.game.cutoff_obstacle`'s
-routine, as the solver's do; the witness builds its envelope over each
-one and checks it in one pass of its own.
+the best value rounds the largest sum, and the earliest maximizer stops,
+on each path, at the first node where the best time stopping there
+ties: exact subtree maxima, one pass up and one down, give that time's
+sum per node.  The witness's obstacles come from
+:func:`~dynkin.game.cutoff_obstacle`'s routine, as the solver's do; the
+witness builds its envelope over each one and checks it in one pass of
+its own.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,15 +71,15 @@ def brute_force_best_response(
     best value rounds the largest exact sum.  Ties within
     ``BRUTE_TIE_TOL`` of it are resolved toward the pathwise-smallest
     maximizer, matching the earliest-hit convention of the envelope
-    route; the float tie test runs only on the sums at or above an
-    integer bound that no tied score's sum falls below.  A tree with
-    more stopping times than ``cap``, or any tree at a NaN cap, raises
+    route: on each path it stops at the first node where the best time
+    stopping there ties.  A tree with more stopping times than ``cap``,
+    or any tree at a NaN cap, raises
     :class:`~dynkin.tree.EnumerationCapError`.
     """
     tree = spec.tree
     rival = _rival_time(spec, player, others)
     first = _first_on_path(tree, _marks(tree, rival.node_by_leaf))
-    counts = _stop_counts(tree, cap)
+    _stop_counts(tree, cap)
     # Per node, the exact sum over its leaves of the terms for stopping
     # there, as an integer at one power-of-two scale.
     parents, prob = tree.parents, tree.prob
@@ -110,38 +111,21 @@ def brute_force_best_response(
                     math.inf if n > 0 else -math.inf)
 
     # Rounding is monotone in n, so the top sum gives the top score, and
-    # a score at or above ``low`` comes from a sum whose quotient is at
-    # least the float below ``low``: only those sums are scored.
+    # a tied time stops at v exactly when the best time stopping there
+    # ties.  Per node: ``most``, the top sum of a time of its subtree,
+    # ``inner``, its children's ``most`` summed, and ``rest``, the top
+    # sum off its subtree of a time that stops there.
     best_val = score(max(sums))
     low = best_val - BRUTE_TIE_TOL
-    below = math.nextafter(low, -math.inf)
-    bound = -math.inf
-    if below > -math.inf:
-        num, den = below.as_integer_ratio()
-        bound = num * scale // den
-    tied = {k for k, n in enumerate(sums) if n >= bound and score(n) >= low}
-
-    # The maximizers' pathwise minimum stops where one of them stops
-    # first.  Parents first, a node holds the distinct numbers, less
-    # ``done``, of the times reaching it: 0 stops there, any other is one
-    # more than the children's numbers in mixed radix (last child
-    # fastest).  A lone child takes the set as it is, with ``done`` + 1.
-    marked = bytearray(tree.n_nodes)
-    numbers = {0: (0, tied)}
-    for v in itertools.chain(reversed(tree.internal), tree.leaves):
-        done, ks = numbers.pop(v, (0, ()))
-        if done in ks:  # nothing below comes first
-            marked[v] = 1
-            continue
-        kids = tree.children[v]
-        if len(kids) == 1:
-            numbers[kids[0]] = (done + 1, ks)
-            continue
-        for k in ks:
-            k -= done + 1
-            for c in reversed(kids):
-                k, r = divmod(k, counts[c])
-                numbers.setdefault(c, (0, set()))[1].add(r)
+    most, inner, rest = stop[:], [0] * tree.n_nodes, [0] * tree.n_nodes
+    for v in tree.internal:
+        inner[v] = sum(most[c] for c in tree.children[v])
+        most[v] = max(stop[v], inner[v])
+    for v in reversed(tree.internal):
+        for c in tree.children[v]:
+            rest[c] = rest[v] + inner[v] - most[c]
+    # The maximizers' pathwise minimum stops where one of them stops first.
+    marked = [score(n + r) >= low for n, r in zip(stop, rest)]
     cut = _first_on_path(tree, marked)
     return best_val, StoppingTime(tree, map(cut.__getitem__, tree.leaves))
 

@@ -24,6 +24,7 @@ from dynkin import (
     best_response,
     brute_force_best_response,
     canonicalize,
+    count_stopping_times,
     cutoff_obstacle,
     demo_constant,
     enumerate_stopping_times,
@@ -37,6 +38,7 @@ from dynkin import (
     verify_nash,
     verify_streamline,
 )
+from dynkin.tree import DEFAULT_ENUM_CAP
 from helpers import (
     BEYOND,
     chain_tree,
@@ -76,6 +78,29 @@ def test_brute_force_breaks_ties_toward_earliest():
     value, argmax = brute_force_best_response(spec, 0, (root,))
     assert value == 1.0
     assert argmax == root
+
+
+def test_tied_best_responses_meet_at_their_pathwise_minimum():
+    # Against a rival at the horizon each half of the tree pays as much
+    # stopped at its inner node as at its leaves: four times tie.
+    tree = ScenarioTree.uniform(2, 2)
+    x = (0.25, 0.375, 0.5, 0, 0, 0, 0)
+    q = (1, 1, 1, 0.5, 0.25, 0.75, 0.25)
+    spec = GameSpec(tree, [x, x], [q, q], [(1,) * 7] * 2)
+    others = (horizon_stop(tree),)
+    for route in (brute_force_best_response, best_response,
+                  reference_table_best_response):
+        value, argmax = route(spec, 0, others)
+        assert value == 0.4375
+        assert argmax.stop_set == {1, 2}
+
+
+def test_oracle_takes_the_root_on_a_chain_at_the_cap():
+    # A chain has one stopping time per node, each stop a lone child's.
+    spec = demo_constant(2, 19_999, 1)
+    assert count_stopping_times(spec.tree) == DEFAULT_ENUM_CAP
+    root = canonicalize([0], spec.tree)
+    assert brute_force_best_response(spec, 0, (root,)) == (1.0, root)
 
 
 def test_brute_force_matches_envelope_route():

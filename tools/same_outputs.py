@@ -13,9 +13,11 @@ checkout, run it there and here, and diff the outputs.
 
 Cases: seeded small ``gen_game`` games (both modes, 2-4 players,
 binary and ternary, one over the oracle's cap), relabeled copies of
-some of them (``tests/helpers.relabeled_game``), a 3,000-deep chain, the demo, and
-every ``tests/test_cli_inputs.GAME_MUTATIONS`` document.  ``--large``
-adds ``gen_game(3, 16, 2, 1, "touching")`` and
+some of them (``tests/helpers.relabeled_game``), a 3,000-deep chain, the
+demo, four tie-heavy games (``tie_game``: binary depth 3 and 4 and a
+12-deep chain for two players, ternary depth 2 for three), and every
+``tests/test_cli_inputs.GAME_MUTATIONS`` document.  ``--large`` adds
+``gen_game(3, 16, 2, 1, "touching")`` and
 ``gen_game(3, 100_000, 1, 1, "touching")``.
 
 Commands per case: ``validate`` at ``--strict-tol`` 0 and 0.05,
@@ -44,7 +46,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from dynkin import cli, demo_constant, gen_game, save_game  # noqa: E402
+from dynkin import (  # noqa: E402
+    GameSpec, ScenarioTree, cli, demo_constant, gen_game, save_game,
+)
 
 GENERATED_AT = re.compile(rb'"generated_at": *"[^"]*"')
 
@@ -81,6 +85,10 @@ def cases(large: bool = False) -> Iterator[Case]:
                     gen_game(3, 5, 2, 12, "touching"))
     yield spec_case("chain_d3000", gen_game(2, 3000, 1, 7, "touching"))
     yield spec_case("demo", demo_constant(2, 2, 2))
+    for players, depth, branching in ((2, 3, 2), (3, 2, 3), (2, 4, 2),
+                                      (2, 12, 1)):
+        yield spec_case(f"ties_p{players}_d{depth}_b{branching}",
+                        tie_game(players, depth, branching))
     base = gen_game(2, 2, 2, seed=5, mode="touching")
     doc = game_document(base)
     for name, mutate in sorted(GAME_MUTATIONS.items()):
@@ -91,6 +99,22 @@ def cases(large: bool = False) -> Iterator[Case]:
         yield spec_case("binary_d16", gen_game(3, 16, 2, 1, "touching"))
         yield spec_case("chain_d100k",
                         gen_game(3, 100_000, 1, 1, "touching"))
+
+
+def tie_game(players: int, depth: int, branching: int) -> GameSpec:
+    """A seeded game on a uniform tree whose X, Q and Y take a few
+    dyadic values, with X <= Q <= Y and X < Y, so many times tie."""
+    rng = random.Random(f"ties {players} {depth} {branching}")
+    tree = ScenarioTree.uniform(depth, branching)
+    n = tree.n_nodes
+    X, Q, Y = ([[0.0] * n for _ in range(players)] for _ in "XQY")
+    for i in range(players):
+        for v in range(n):
+            x, y = rng.choice((0.0, 0.25, 0.5)), rng.choice((0.75, 1.0))
+            X[i][v], Y[i][v] = x, y
+            Q[i][v] = rng.choice([q for q in (0.0, 0.25, 0.5, 0.75, 1.0)
+                                  if x <= q <= y])
+    return GameSpec(tree, X, Q, Y)
 
 
 def _write_bytes(data: bytes, path: str) -> None:
