@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[], help="check a game file")
+    p = sub.add_parser("validate", help="check a game file")
     p.add_argument("game")
     p.add_argument("--strict-tol", type=_tolerance, default=0.0)
 

@@ -27,8 +27,8 @@ from .tree import (
     StoppingTime,
     _check_stop,
     _first_on_path,
+    _floats,
     _marks,
-    _number,
     min_stop,
 )
 
@@ -69,24 +69,10 @@ class GameSpec:
                         f"player {i}: {name} has {len(vals)} values "
                         f"but tree has {self.tree.n_nodes} nodes"
                     )
-                if set(map(type, vals)) <= {float} and all(
-                    map(math.isfinite, vals)
-                ):  # the common case: all finite floats, checked at once
-                    procs.append(tuple(vals))
-                    continue
-                for v, x in enumerate(vals):
-                    f = x if type(x) is float else _number(x)  # floats first
-                    if f is None:
-                        raise GameError(
-                            f"processes.{name}[{i}]: node {v}: process "
-                            f"value {x!r} not a number"
-                        )
-                    if not math.isfinite(f):
-                        raise GameError(
-                            f"processes.{name}[{i}]: node {v}: process "
-                            f"value {f!r} not finite"
-                        )
-                procs.append(tuple(map(float, vals)))
+                procs.append(_floats(
+                    tuple(vals), (math.isfinite,),
+                    f"processes.{name}[{i}]: node {{}}: process value",
+                    "not finite", GameError))
             object.__setattr__(self, name, tuple(procs))
 
     @property

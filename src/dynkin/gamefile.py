@@ -21,7 +21,8 @@ that describe an invalid tree or game.  The loader checks the top level
 and the node ids as whole arrays, then leaves every parent, probability
 and payoff to :class:`~dynkin.tree.ScenarioTree` and
 :class:`~dynkin.game.GameSpec`; only when a check fails does one scan
-in file order name the first node or process value the file mistypes.
+name the first node or process value the file mistypes: the nodes in
+file order, then the process arrays X, Q, Y, player by player.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def game_from_document(doc, where: str = "game document") -> GameSpec:
         _first_fault(nodes, (), where)  # names the node, and raises
 
     triples = []
-    shaped = []  # the process arrays whose shape passed, in file order
+    shaped = []  # the process arrays whose shape passed: X, Q, Y
     try:
         tree = ScenarioTree(parents, probs, horizon=horizon)
         for name in ("X", "Q", "Y"):
@@ -162,10 +163,10 @@ def game_from_document(doc, where: str = "game document") -> GameSpec:
 
 
 def _first_fault(nodes: list, shaped, where: str) -> None:
-    """Raise the first fault of the file in file order: a node that is
-    not an object, a missing or mistyped node field or an id out of
-    order, then a value that is not a number in the ``shaped`` arrays,
-    given as (where, array) pairs."""
+    """Raise the first fault of the file: a node that is not an object,
+    a missing or mistyped node field or an id out of order, nodes in file
+    order, then a value that is not a number in the ``shaped`` (where,
+    array) pairs, taken in the order X, Q, Y, player by player."""
     for k, entry in enumerate(nodes):
         at = f"{where}: nodes[{k}]"
         if not isinstance(entry, dict):

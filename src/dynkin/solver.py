@@ -181,7 +181,10 @@ def _update(spec: GameSpec, player: int, theta: StoppingTime, cache: _Cache):
     """Bring the player's cache from its last cutoff to ``theta``; return
     the earliest optimal stop, the root value, and the flat check's
     largest |envelope - obstacle| at or after the cutoff with the first
-    node where it occurs (a NaN gap never counts).
+    node where it occurs.  No gap is NaN: below a cut node ``a`` the
+    obstacle is ``ep[a]``, finite, which a hit keeps, and elsewhere the
+    envelope is a positively weighted sum of children's values, so it
+    has ``ep[a]``'s sign or is an infinity of that sign.
 
     Only the root paths of the leaves whose cutoff stop moved are
     recomputed, in the same order and with the same arithmetic as a full
@@ -219,17 +222,10 @@ def _update(spec: GameSpec, player: int, theta: StoppingTime, cache: _Cache):
     _backward(tree, w, hit, internal)
     first = _first_on_path(tree, hit)
 
-    # At and after the cutoff the obstacle is the cut node's end payoff,
-    # and at a hit the envelope is the obstacle.
+    # At and after the cutoff the obstacle is the cut node's end payoff.
     for v in internal:
         a = cut[v]
-        if a < 0:
-            gaps[v] = -1.0
-        elif hit[v]:
-            gaps[v] = 0.0
-        else:
-            gap = abs(w[v] - ep[a])
-            gaps[v] = gap if gap >= 0.0 else -1.0
+        gaps[v] = -1.0 if a < 0 else abs(w[v] - ep[a])
     flat_gap = max(gaps)  # every leaf counts, with gap 0.0
     mu = StoppingTime(tree, map(first.__getitem__, tree.leaves))
     return mu, w[0], flat_gap, gaps.index(flat_gap)

@@ -8,8 +8,9 @@ probability; sibling probabilities sum to one, so every node is reached
 with positive probability (``tree.prob[v]`` for node ``v``).
 
 A process is a length-K float tuple indexed by node id.  Payoffs are
-checked once, when a :class:`~dynkin.game.GameSpec` is built; this
-module only checks a process's length.
+checked once, when a :class:`~dynkin.game.GameSpec` is built, by the
+probabilities' number check (``_floats``); elsewhere this module only
+checks a process's length.
 
 A stopping time is represented by its stop node on each root-to-leaf
 path; these nodes form its canonical stop-set, an antichain meeting every
@@ -99,12 +100,10 @@ class ScenarioTree:
     ):
         parents = tuple(parents)
         raw = tuple(cond_probs)
-        floats = set(map(type, raw)) <= {float}  # the common case
-        probs = raw if floats else tuple(map(_number, raw))
         n = len(parents)
-        if n != len(probs):
+        if n != len(raw):
             raise TreeError(
-                f"{n} parent entries but {len(probs)} probability entries"
+                f"{n} parent entries but {len(raw)} probability entries"
             )
         if n < 2:
             raise TreeError("a tree needs at least a root and one leaf")
@@ -126,15 +125,8 @@ class ScenarioTree:
                         f"node {v}: parent {p} does not precede it "
                         "(ids must be topological)"
                     )
-        if not (floats and all(map((0.0).__lt__, probs))
-                and all(map((1.0).__ge__, probs))):  # NaN fails both
-            for v, p in enumerate(probs):
-                if p is None:
-                    raise TreeError(
-                        f"node {v}: cond_prob {raw[v]!r} not a number"
-                    )
-                if not math.isfinite(p) or not 0.0 < p <= 1.0:
-                    raise TreeError(f"node {v}: cond_prob {p!r} not in (0, 1]")
+        probs = _floats(raw, ((0.0).__lt__, (1.0).__ge__),  # NaN fails both
+                        "node {}: cond_prob", "not in (0, 1]", TreeError)
         if abs(probs[0] - 1.0) > PROB_TOL:
             raise TreeError(f"root cond_prob must be 1, got {probs[0]!r}")
 
@@ -231,6 +223,23 @@ def _number(x) -> Optional[float]:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def _floats(raw: tuple, fits, where: str, unfit: str, error) -> tuple:
+    """The one number check: ``raw`` as floats by :func:`_number`, each
+    passing every test in ``fits``.  The common case, only such floats,
+    is checked as a whole array and returns ``raw`` itself; otherwise one
+    loop by node raises ``error`` on the first fault, its message led by
+    ``where`` formatted with the node id."""
+    if set(map(type, raw)) <= {float} and all(all(map(f, raw)) for f in fits):
+        return raw
+    vals = tuple(map(_number, raw))
+    for v, x in enumerate(vals):
+        if x is None:
+            raise error(f"{where.format(v)} {raw[v]!r} not a number")
+        if not all(f(x) for f in fits):
+            raise error(f"{where.format(v)} {x!r} {unfit}")
+    return vals
 
 
 def _check_process(tree: ScenarioTree, process: Sequence[float]) -> None:

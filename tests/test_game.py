@@ -107,6 +107,28 @@ def test_spec_rejects_bool_and_non_number_payoffs():
         )
 
 
+# With several faults the spec names the first: by node within an
+# array, then by player, then by process in the order X, Q, Y.
+@pytest.mark.parametrize("edits, want", [
+    ({("X", 0): [1.0, math.nan, "x"]}, "X[0]: node 1: process value nan "
+     "not finite"),
+    ({("X", 0): [1.0, "x", math.nan]}, "X[0]: node 1: process value 'x' "
+     "not a number"),
+    ({("Q", 0): ["q", 0.0, 0.0], ("X", 1): [0.0, 0.0, math.inf]},
+     "X[1]: node 2: process value inf not finite"),
+    ({("X", 1): [True, 0.0, 0.0], ("X", 0): [0.0, 0.0, None]},
+     "X[0]: node 2: process value None not a number"),
+], ids=["nan_then_string", "string_then_nan", "processes_before_players",
+        "players_before_nodes"])
+def test_spec_names_the_first_of_several_faults(edits, want):
+    procs = {k: [[0.0] * 3, [0.0] * 3] for k in "XQY"}
+    for (name, player), vals in edits.items():
+        procs[name][player] = vals
+    with pytest.raises(GameError) as exc:
+        GameSpec(chain_tree(2), procs["X"], procs["Q"], procs["Y"])
+    assert str(exc.value) == f"processes.{want}"
+
+
 def test_spec_turns_int_payoffs_into_float_tuples():
     t = chain_tree(1)
     spec = GameSpec(t, [[0, 1], [2, 3]], ([4, 5], [6, 7]), [(8, 9)] * 2)

@@ -450,6 +450,21 @@ def test_the_document_digest_declines_other_types(spec, data):
         _document_digest(doc)
 
 
+def test_the_loader_scans_processes_in_the_order_x_q_y(tmp_path):
+    """A canonical file lists ``Q`` before ``X``, but the loader scans the
+    process arrays X, Q, Y, player by player, so it names ``X[1]``."""
+    doc = game_document(gen_game(2, 2, 2, seed=5, mode="touching"))
+    doc["processes"]["Q"][0][1] = "q"
+    doc["processes"]["X"][1][0] = "x"
+    data = canonical_bytes(doc)
+    assert data.index(b'"Q"') < data.index(b'"X"')
+    path = tmp_path / "game.json"
+    path.write_bytes(data)
+    with pytest.raises(GameParseError) as exc:
+        load_game(str(path))
+    assert str(exc.value) == f"{path}: processes.X[1][0] must be a number"
+
+
 # One corruption of a node field: (field, value); a value of ``KeyError``
 # deletes the field.
 MISSING = KeyError

@@ -153,6 +153,16 @@ def test_tree_rounds_ints_beyond_float_range_to_infinity(big):
     assert str(exc.value) == f"node 1: cond_prob {shown} not in (0, 1]"
 
 
+def test_tree_names_the_first_of_several_faults():
+    # the probabilities node by node, and the parents before them
+    with pytest.raises(TreeError) as exc:
+        ScenarioTree([None, 0, 0], [1.0, 1.5, "x"])
+    assert str(exc.value) == "node 1: cond_prob 1.5 not in (0, 1]"
+    with pytest.raises(TreeError) as exc:
+        ScenarioTree([None, 0.0, 0], [1.0, "x", 0.5])
+    assert str(exc.value) == "node 1: parent must be an integer id"
+
+
 def test_tree_takes_int_cond_probs_as_floats():
     t = ScenarioTree([None, 0], [1, 1])
     assert t.cond_probs == (1.0, 1.0)

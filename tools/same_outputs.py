@@ -15,8 +15,12 @@ Cases: seeded small ``gen_game`` games (both modes, 2-4 players,
 binary and ternary, one over the oracle's cap), relabeled copies of
 some of them (``tests/helpers.relabeled_game``), a 3,000-deep chain, the
 demo, four tie-heavy games (``tie_game``: binary depth 3 and 4 and a
-12-deep chain for two players, ternary depth 2 for three), and every
-``tests/test_cli_inputs.GAME_MUTATIONS`` document.  ``--large`` adds
+12-deep chain for two players, ternary depth 2 for three), every
+``tests/test_cli_inputs.GAME_MUTATIONS`` document, and the value cases
+of ``VALUE_MUTATIONS``, canonical files of the same seeded game with: a
+string ``p``; ``p`` 1.5; an int root ``p`` of 1 (valid); a bool payoff;
+int zeros for player 0's ``X`` (valid); and a string in ``Q[0]`` with
+another in ``X[1]``, the one the loader names.  ``--large`` adds
 ``gen_game(3, 16, 2, 1, "touching")`` and
 ``gen_game(3, 100_000, 1, 1, "touching")``.
 
@@ -49,8 +53,21 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 from dynkin import (  # noqa: E402
     GameSpec, ScenarioTree, cli, demo_constant, gen_game, save_game,
 )
+from dynkin.gamefile import canonical_bytes  # noqa: E402
 
 GENERATED_AT = re.compile(rb'"generated_at": *"[^"]*"')
+# Value faults, and valid ints, as edits {keys: value} of the 7-node
+# seeded game's document, written as canonical files.
+VALUE_MUTATIONS = {
+    "string_p": {("nodes", 2, "p"): "0.5"},
+    "p_above_one": {("nodes", 1, "p"): 1.5},
+    "int_root_p": {("nodes", 0, "p"): 1},
+    "bool_payoff": {("processes", "Y", 1, 2): True},
+    # player 0's X is below 1, so int zeros keep X <= Q
+    "int_payoffs": {("processes", "X", 0): [0] * 7},
+    "q_then_x_strings": {("processes", "Q", 0, 1): "q",
+                         ("processes", "X", 1, 0): "x"},
+}
 
 
 class Case(NamedTuple):
@@ -68,7 +85,7 @@ def spec_case(name: str, spec) -> Case:
 def cases(large: bool = False) -> Iterator[Case]:
     """The cases in a fixed order, each game built when it is reached."""
     from helpers import game_document, relabeled_game
-    from test_cli_inputs import GAME_MUTATIONS
+    from test_cli_inputs import GAME_MUTATIONS, _with
 
     for seed, (players, (depth, branching), mode) in enumerate(
         itertools.product((2, 3, 4), ((3, 2), (2, 3)),
@@ -94,6 +111,13 @@ def cases(large: bool = False) -> Iterator[Case]:
     for name, mutate in sorted(GAME_MUTATIONS.items()):
         yield Case(f"mutation_{name}",
                    functools.partial(_write_bytes, mutate(doc)),
+                   base.n_players, base.tree.n_nodes)
+    for name, edits in VALUE_MUTATIONS.items():
+        changed = doc
+        for keys, value in edits.items():
+            changed = _with(changed, keys, value)
+        yield Case(f"value_{name}",
+                   functools.partial(_write_bytes, canonical_bytes(changed)),
                    base.n_players, base.tree.n_nodes)
     if large:
         yield spec_case("binary_d16", gen_game(3, 16, 2, 1, "touching"))
